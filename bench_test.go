@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"testing"
 
-	"specrun/internal/asm"
 	"specrun/internal/attack"
 	"specrun/internal/core"
 	"specrun/internal/cpu"
@@ -78,7 +77,7 @@ func BenchmarkFig7_IPC_Gems_ra(b *testing.B)    { benchIPC(b, "Gems", runahead.K
 func BenchmarkFig7_MeanSpeedup(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunIPCComparison(core.DefaultConfig())
+		rows, err := core.RunIPCComparison(context.Background(), core.DefaultConfig(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +94,7 @@ func BenchmarkFig7_MeanSpeedup(b *testing.B) {
 func benchIPCSweep(b *testing.B, workers int) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunIPCComparisonCtx(context.Background(), core.DefaultConfig(), workers)
+		rows, err := core.RunIPCComparison(context.Background(), core.DefaultConfig(), workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +110,7 @@ func BenchmarkSweep_IPC_WorkersMax(b *testing.B) { benchIPCSweep(b, runtime.GOMA
 // runs (four Spectre variants, two runahead variants).
 func BenchmarkSweep_VariantMatrix_WorkersMax(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunVariantMatrixCtx(context.Background(), core.DefaultConfig(), runtime.GOMAXPROCS(0))
+		rows, err := core.RunVariantMatrix(context.Background(), core.DefaultConfig(), runtime.GOMAXPROCS(0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -357,39 +356,6 @@ func BenchmarkSimSpeed(b *testing.B) {
 			b.Fatal(err)
 		}
 		cycles += m.Stats().Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
-// BenchmarkBatchSimSpeed is BenchmarkSimSpeed on the batched driver: four
-// machines advanced in lockstep by one serial loop (cpu.Batch), the path the
-// campaign drivers take under --lanes.  The metric is aggregate simulated
-// cycles across the lanes per host second; like the single-lane benchmark the
-// steady state performs zero heap allocations per op (pinned by the cpu
-// package's alloc suite and the committed baseline).  On multi-core hosts
-// Batch.SetParallel shards the lanes across cores for a near-linear further
-// win; this benchmark stays serial so allocs/op stays exactly zero.
-func BenchmarkBatchSimSpeed(b *testing.B) {
-	const lanes = 4
-	progs := make([]*asm.Program, lanes)
-	for i := range progs {
-		progs[i] = proggen.Generate(42+int64(i), proggen.DefaultOptions())
-	}
-	batch := cpu.NewBatch(core.DefaultConfig(), lanes)
-	for _, err := range batch.RunPrograms(progs, 50_000_000) { // warmup all lanes
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for li, err := range batch.RunPrograms(progs, 50_000_000) {
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += batch.CPU(li).Stats().Cycles
-		}
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim_cycles/s")
 }

@@ -10,10 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"specrun/internal/asm"
 	"specrun/internal/attack"
 	"specrun/internal/core"
-	"specrun/internal/cpu"
 	"specrun/internal/proggen"
 	"specrun/internal/server"
 )
@@ -29,14 +27,6 @@ type SimBench struct {
 	BytesPerOp      uint64  `json:"bytes_per_op"`       // heap bytes per run
 	Runs            int     `json:"runs"`               // benchmark iterations measured
 	Host            string  `json:"host"`               // host fingerprint; throughput gates only apply on a matching host
-	// Batched simulation (cpu.Batch): BatchLanes machines advanced in
-	// lockstep by one serial driver loop.  An op is one RunPrograms call over
-	// all lanes, so Batch* throughput is aggregate simulated cycles across
-	// the lanes per host second.
-	BatchLanes           int     `json:"batch_lanes"`
-	BatchSimCyclesPerSec float64 `json:"batch_sim_cycles_per_sec"`
-	BatchAllocsPerOp     uint64  `json:"batch_allocs_per_op"`
-	BatchBytesPerOp      uint64  `json:"batch_bytes_per_op"`
 }
 
 // BenchReport is the stable JSON document `specrun bench --json` emits: the
@@ -69,10 +59,8 @@ func hostFingerprint() string {
 }
 
 // measureSim benchmarks the steady-state simulation path (one machine,
-// Reset per program — what every sweep and fuzz worker runs), then the
-// batched path (`lanes` machines in lockstep — what the campaign drivers run
-// with --lanes).
-func measureSim(lanes int) (*SimBench, error) {
+// Reset per program — what every sweep and fuzz worker runs).
+func measureSim() (*SimBench, error) {
 	const budget = 50_000_000
 	prog := proggen.Generate(42, proggen.DefaultOptions())
 	m := core.NewMachine(core.DefaultConfig(), prog)
@@ -99,54 +87,14 @@ func measureSim(lanes int) (*SimBench, error) {
 	if r.N == 0 {
 		return nil, fmt.Errorf("bench: simulator benchmark did not run")
 	}
-	sim := &SimBench{
+	return &SimBench{
 		SimCyclesPerSec: float64(cycles) / r.T.Seconds(),
 		CyclesPerRun:    cycles / uint64(r.N),
 		AllocsPerOp:     uint64(r.AllocsPerOp()),
 		BytesPerOp:      uint64(r.AllocedBytesPerOp()),
 		Runs:            r.N,
 		Host:            hostFingerprint(),
-	}
-
-	if lanes < 1 {
-		lanes = 1
-	}
-	progs := make([]*asm.Program, lanes)
-	for i := range progs {
-		progs[i] = proggen.Generate(42+int64(i), proggen.DefaultOptions())
-	}
-	batch := cpu.NewBatch(core.DefaultConfig(), lanes)
-	if errs := batch.RunPrograms(progs, budget); errs != nil { // warmup all lanes
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	rb := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		cycles = 0
-		for i := 0; i < b.N; i++ {
-			for li, err := range batch.RunPrograms(progs, budget) {
-				if err != nil {
-					runErr = err
-					b.FailNow()
-				}
-				cycles += batch.CPU(li).Stats().Cycles
-			}
-		}
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	if rb.N == 0 {
-		return nil, fmt.Errorf("bench: batched simulator benchmark did not run")
-	}
-	sim.BatchLanes = lanes
-	sim.BatchSimCyclesPerSec = float64(cycles) / rb.T.Seconds()
-	sim.BatchAllocsPerOp = uint64(rb.AllocsPerOp())
-	sim.BatchBytesPerOp = uint64(rb.AllocedBytesPerOp())
-	return sim, nil
+	}, nil
 }
 
 // gate compares the measured simulator metrics against a committed baseline
@@ -174,21 +122,6 @@ func gate(sim *SimBench, baselinePath string, tol float64) error {
 	}
 	if limit := float64(b.BytesPerOp)*(1+tol) + 256; float64(sim.BytesPerOp) > limit {
 		fails = append(fails, fmt.Sprintf("bytes/op %d > baseline %d (+%.0f%%)", sim.BytesPerOp, b.BytesPerOp, tol*100))
-	}
-	// Batched entries gate like the single-lane ones (allocations everywhere,
-	// throughput host-matched) but only at a matching lane count — aggregate
-	// throughput and per-op allocations both scale with the lane count.
-	if b.BatchLanes > 0 && sim.BatchLanes == b.BatchLanes {
-		if limit := float64(b.BatchAllocsPerOp)*(1+tol) + 2; float64(sim.BatchAllocsPerOp) > limit {
-			fails = append(fails, fmt.Sprintf("batch allocs/op %d > baseline %d (+%.0f%%)", sim.BatchAllocsPerOp, b.BatchAllocsPerOp, tol*100))
-		}
-		if limit := float64(b.BatchBytesPerOp)*(1+tol) + 256; float64(sim.BatchBytesPerOp) > limit {
-			fails = append(fails, fmt.Sprintf("batch bytes/op %d > baseline %d (+%.0f%%)", sim.BatchBytesPerOp, b.BatchBytesPerOp, tol*100))
-		}
-		if sim.Host == b.Host && b.BatchSimCyclesPerSec > 0 && sim.BatchSimCyclesPerSec < b.BatchSimCyclesPerSec*(1-tol) {
-			fails = append(fails, fmt.Sprintf("batch throughput %.0f sim_cycles/s < baseline %.0f (-%.0f%%)",
-				sim.BatchSimCyclesPerSec, b.BatchSimCyclesPerSec, tol*100))
-		}
 	}
 	if sim.Host == b.Host && b.SimCyclesPerSec > 0 {
 		if sim.SimCyclesPerSec < b.SimCyclesPerSec*(1-tol) {
@@ -218,7 +151,6 @@ func runBench(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the canonical JSON document (default: human summary)")
 	out := fs.String("out", "", "output file (default stdout)")
 	workers := fs.Int("workers", 0, "worker goroutines for the multi-run drivers (0 = GOMAXPROCS)")
-	lanes := fs.Int("lanes", 4, "machines per lockstep batch in the batched sim benchmark")
 	noSim := fs.Bool("no-sim", false, "skip the simulator-throughput benchmark (sim section)")
 	gatePath := fs.String("gate", "", "baseline BENCH json; exit nonzero on performance regression against it")
 	tol := fs.Float64("tolerance", 0.10, "relative regression tolerated by --gate")
@@ -281,7 +213,7 @@ func runBench(args []string) error {
 		*d.dst = res
 	}
 	if !*noSim {
-		sim, err := measureSim(*lanes)
+		sim, err := measureSim()
 		if err != nil {
 			return fmt.Errorf("bench: sim: %w", err)
 		}
@@ -321,9 +253,6 @@ func runBench(args []string) error {
 			fmt.Fprintf(w, "Sim: %.2fM sim_cycles/s, %d allocs/op, %d B/op (%d cycles/run × %d runs)\n",
 				rep.Sim.SimCyclesPerSec/1e6, rep.Sim.AllocsPerOp, rep.Sim.BytesPerOp,
 				rep.Sim.CyclesPerRun, rep.Sim.Runs)
-			fmt.Fprintf(w, "Sim (batched ×%d): %.2fM sim_cycles/s aggregate, %d allocs/op, %d B/op\n",
-				rep.Sim.BatchLanes, rep.Sim.BatchSimCyclesPerSec/1e6,
-				rep.Sim.BatchAllocsPerOp, rep.Sim.BatchBytesPerOp)
 		}
 	}
 	if *gatePath != "" {

@@ -33,7 +33,6 @@ func runFuzz(args []string) error {
 	bodyLen := fs.Int("len", 0, "generated program body length (0 = generator default)")
 	duration := fs.Duration("duration", 0, "keep fuzzing fresh seed rounds until this wall-clock budget is spent")
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	lanes := fs.Int("lanes", 1, "machines per lockstep batch within a seed's config matrix (reports are lane-count invariant)")
 	noShrink := fs.Bool("no-shrink", false, "report divergences without minimizing them")
 	interleave := fs.Bool("interleave", false, "cross-run state-leak hunt: run A, B, A' on one reused machine and require A == A'")
 	leaks := fs.Bool("leaks", false, "microarchitectural leak oracle: run each program twice with two secret valuations and diff the speculative observation traces")
@@ -74,7 +73,7 @@ func runFuzz(args []string) error {
 	}
 
 	if spec.Leaks {
-		return runLeakFuzz(ctx, spec, opt, *lanes, *duration, *jsonOut, *quiet, *reproDir)
+		return runLeakFuzz(ctx, spec, opt, *duration, *jsonOut, *quiet, *reproDir)
 	}
 
 	// Duration mode runs successive rounds over fresh seed ranges; a single
@@ -83,14 +82,14 @@ func runFuzz(args []string) error {
 	// (Ctrl-C) still yields its partial report — divergences already found
 	// must reach the user, not die with the interrupt.
 	start := time.Now()
-	report, runErr := difftest.RunLanes(ctx, spec, opt, *lanes)
+	report, runErr := difftest.Run(ctx, spec, opt)
 	if !*quiet {
 		fmt.Fprintln(os.Stderr)
 	}
 	for runErr == nil && *duration > 0 && time.Since(start) < *duration && ctx.Err() == nil {
 		spec.SeedBase += int64(spec.Seeds)
 		var next difftest.Report
-		next, runErr = difftest.RunLanes(ctx, spec, opt, *lanes)
+		next, runErr = difftest.Run(ctx, spec, opt)
 		if !*quiet {
 			fmt.Fprintln(os.Stderr)
 		}
@@ -129,16 +128,16 @@ func runFuzz(args []string) error {
 // are findings, not failures — a leaky insecure configuration is the
 // behaviour the paper documents — so the exit status reflects only oracle
 // errors (run_error / seq_divergence).
-func runLeakFuzz(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options, lanes int, duration time.Duration, jsonOut, quiet bool, reproDir string) error {
+func runLeakFuzz(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options, duration time.Duration, jsonOut, quiet bool, reproDir string) error {
 	start := time.Now()
-	report, runErr := leak.RunLanes(ctx, spec, opt, lanes)
+	report, runErr := leak.Run(ctx, spec, opt)
 	if !quiet {
 		fmt.Fprintln(os.Stderr)
 	}
 	for runErr == nil && duration > 0 && time.Since(start) < duration && ctx.Err() == nil {
 		spec.SeedBase += int64(spec.Seeds)
 		var next leak.Report
-		next, runErr = leak.RunLanes(ctx, spec, opt, lanes)
+		next, runErr = leak.Run(ctx, spec, opt)
 		if !quiet {
 			fmt.Fprintln(os.Stderr)
 		}

@@ -4,7 +4,8 @@
 // Usage:
 //
 //	specrun config             print Table 1
-//	specrun ipc                Fig. 7  (normalized IPC, 6 benchmarks)
+//	specrun ipc [flags]        Fig. 7  (normalized IPC, 6 benchmarks;
+//	                           --runahead precise|vector, --table1-rf)
 //	specrun fig9               Fig. 9  (PHT PoC probe sweep)
 //	specrun window             Fig. 10 (N1/N2/N3 transient windows)
 //	specrun fig11              Fig. 11 (beyond-the-ROB leak)
@@ -34,8 +35,9 @@
 //	specrun version            module version / VCS revision
 //	specrun all                everything above, in paper order
 //
-// The figure subcommands take --format json to emit the same canonical
-// JSON document as the corresponding `specrun serve` endpoint.
+// The figure subcommands run their driver through the same server.Run call
+// as the corresponding `specrun serve` endpoint; --format json emits its
+// canonical JSON document, the default renders it as a table.
 package main
 
 import (
@@ -46,6 +48,8 @@ import (
 
 	"specrun/internal/attack"
 	"specrun/internal/core"
+	"specrun/internal/cpu"
+	"specrun/internal/runahead"
 	"specrun/internal/server"
 )
 
@@ -116,27 +120,28 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: specrun <config|ipc|fig9|window|fig11|defense|variants|attack|leak|sweep|fuzz|bench|serve|version|trace|asm|disasm|run|all> [flags]`)
 }
 
-// figureFormat parses the --format flag shared by the figure subcommands.
-func figureFormat(name string, args []string) (string, error) {
+// figureFlags starts a figure subcommand's flag set with the --format flag
+// every figure subcommand shares.
+func figureFlags(name string) (*flag.FlagSet, *string) {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	format := fs.String("format", "table", "table | json (json matches the HTTP API response body)")
-	if err := fs.Parse(args); err != nil {
-		return "", err
-	}
-	switch *format {
-	case "table", "json":
-		return *format, nil
-	}
-	return "", fmt.Errorf("%s: unknown format %q", name, *format)
+	return fs, fs.String("format", "table", "table | json (json matches the HTTP API response body)")
 }
 
-// printDriverJSON runs a server driver on the default configuration and
-// writes its canonical encoding — byte-identical to the HTTP response body
-// of POST /v1/run/{driver} with an empty request.
-func printDriverJSON(driver string) error {
-	res, err := server.Run(context.Background(), driver, core.DefaultConfig(), attack.DefaultParams(), 0)
+// printFigure runs a server driver through server.Run — the path the HTTP
+// API, `specrun bench` and the figures benchmark share — and prints the
+// result either as its canonical JSON encoding, byte-identical to the body
+// of POST /v1/run/{driver} for the same configuration, or through render.
+func printFigure(name, format, driver string, cfg core.Config, render func(res any)) error {
+	if format != "table" && format != "json" {
+		return fmt.Errorf("%s: unknown format %q", name, format)
+	}
+	res, err := server.Run(context.Background(), driver, cfg, attack.DefaultParams(), 0)
 	if err != nil {
 		return err
+	}
+	if format == "table" {
+		render(res)
+		return nil
 	}
 	b, err := server.Encode(res)
 	if err != nil {
@@ -146,105 +151,70 @@ func printDriverJSON(driver string) error {
 	return err
 }
 
+// runFigure implements a figure subcommand that takes only --format and
+// runs on the Table 1 machine.
+func runFigure(name, driver string, args []string, render func(res any)) error {
+	fs, format := figureFlags(name)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return printFigure(name, *format, driver, core.DefaultConfig(), render)
+}
+
 func runIPC(args []string) error {
-	format, err := figureFormat("ipc", args)
-	if err != nil {
+	fs, format := figureFlags("ipc")
+	mode := fs.String("runahead", "original", "runahead machine's variant: original | precise | vector")
+	table1RF := fs.Bool("table1-rf", false, "use the literal Table 1 register-file sizes (an ablation: 80/40/40 starve the window)")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if format == "json" {
-		return printDriverJSON("ipc")
+	cfg := core.DefaultConfig()
+	if err := cfg.Runahead.Kind.UnmarshalText([]byte(*mode)); err != nil || cfg.Runahead.Kind == runahead.KindNone {
+		return fmt.Errorf("ipc: unknown runahead variant %q (original|precise|vector)", *mode)
 	}
-	rows, err := core.RunIPCComparison(core.DefaultConfig())
-	if err != nil {
-		return err
+	if *table1RF {
+		cfg = cpu.Table1RegisterFiles(cfg)
 	}
-	fmt.Print(core.FormatIPC(rows))
-	return nil
+	return printFigure("ipc", *format, "ipc", cfg, func(res any) {
+		fmt.Print(core.FormatIPC(res.(server.IPCResponse).Rows))
+	})
 }
 
 func runFig9(args []string) error {
-	format, err := figureFormat("fig9", args)
-	if err != nil {
-		return err
-	}
-	if format == "json" {
-		return printDriverJSON("fig9")
-	}
-	r, err := core.RunFig9(core.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	fmt.Println("Fig. 9: probe access time after SPECRUN (secret byte 86)")
-	fmt.Print(core.FormatProbe(r, 12))
-	return nil
+	return runFigure("fig9", "fig9", args, func(res any) {
+		fmt.Println("Fig. 9: probe access time after SPECRUN (secret byte 86)")
+		fmt.Print(core.FormatProbe(res.(core.AttackResult), 12))
+	})
 }
 
 func runWindow(args []string) error {
-	format, err := figureFormat("window", args)
-	if err != nil {
-		return err
-	}
-	if format == "json" {
-		return printDriverJSON("fig10")
-	}
-	n1, n2, n3, err := core.RunFig10(core.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	fmt.Print(core.FormatWindows(n1, n2, n3))
-	return nil
+	return runFigure("window", "fig10", args, func(res any) {
+		r := res.(server.Fig10Response)
+		fmt.Print(core.FormatWindows(r.N1, r.N2, r.N3))
+	})
 }
 
 func runFig11(args []string) error {
-	format, err := figureFormat("fig11", args)
-	if err != nil {
-		return err
-	}
-	if format == "json" {
-		return printDriverJSON("fig11")
-	}
-	r, err := core.RunFig11(core.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	fmt.Println("Fig. 11: secret access pushed beyond the ROB (300 nops, secret 127)")
-	fmt.Println("-- no-runahead machine:")
-	fmt.Print(core.FormatProbe(r.NoRunahead, 8))
-	fmt.Println("-- runahead machine:")
-	fmt.Print(core.FormatProbe(r.Runahead, 8))
-	return nil
+	return runFigure("fig11", "fig11", args, func(res any) {
+		r := res.(core.Fig11Result)
+		fmt.Println("Fig. 11: secret access pushed beyond the ROB (300 nops, secret 127)")
+		fmt.Println("-- no-runahead machine:")
+		fmt.Print(core.FormatProbe(r.NoRunahead, 8))
+		fmt.Println("-- runahead machine:")
+		fmt.Print(core.FormatProbe(r.Runahead, 8))
+	})
 }
 
 func runDefense(args []string) error {
-	format, err := figureFormat("defense", args)
-	if err != nil {
-		return err
-	}
-	if format == "json" {
-		return printDriverJSON("defense")
-	}
-	d, err := core.RunDefense(core.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	fmt.Print(core.FormatDefense(d))
-	return nil
+	return runFigure("defense", "defense", args, func(res any) {
+		fmt.Print(core.FormatDefense(res.(core.DefenseResult)))
+	})
 }
 
 func runVariants(args []string) error {
-	format, err := figureFormat("variants", args)
-	if err != nil {
-		return err
-	}
-	if format == "json" {
-		return printDriverJSON("variants")
-	}
-	rows, err := core.RunVariantMatrix(core.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	fmt.Print(core.FormatVariants(rows))
-	return nil
+	return runFigure("variants", "variants", args, func(res any) {
+		fmt.Print(core.FormatVariants(res.(server.VariantsResponse).Rows))
+	})
 }
 
 func attackFlags(args []string) (attack.Params, core.Config, error) {
@@ -296,7 +266,7 @@ func runLeak(args []string) error {
 	}
 	p := attack.DefaultParams()
 	p.Secret = []byte(*secret)
-	got, results, err := attack.LeakSecret(core.DefaultConfig(), p)
+	got, results, err := attack.LeakSecret(context.Background(), core.DefaultConfig(), p, 0)
 	if err != nil {
 		return err
 	}

@@ -37,7 +37,6 @@ func runSweep(args []string) error {
 	pad := fs.Int("pad", 0, "attack mode: nops between branch and secret access")
 	secure := fs.Bool("secure", false, "enable the §6 SL-cache defense on every grid point")
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	lanes := fs.Int("lanes", 1, "ipc mode: machines per lockstep batch (results are lane-count invariant)")
 	format := fs.String("format", "table", "table | json | csv")
 	out := fs.String("out", "", "output file (default stdout)")
 	quiet := fs.Bool("quiet", false, "suppress the progress line on stderr")
@@ -58,7 +57,6 @@ func runSweep(args []string) error {
 		Pad:       *pad,
 		Secure:    *secure,
 		Workers:   *workers,
-		Lanes:     *lanes,
 	}
 	var err error
 	if spec.ROB, err = parseIntCSV("ROB size", *robs); err != nil {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ func main() {
 
 	fmt.Printf("victim secret: %q (planted out of bounds, guarded by a bounds check)\n\n", secret)
 
-	got, results, err := attack.LeakSecret(core.DefaultConfig(), p)
+	got, results, err := attack.LeakSecret(context.Background(), core.DefaultConfig(), p, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,7 +14,7 @@ import (
 
 func main() {
 	cfg := core.DefaultConfig()
-	n1, n2, n3, err := core.RunFig10(cfg)
+	n1, n2, n3, err := core.RunFig10(context.Background(), cfg, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

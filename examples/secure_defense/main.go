@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,7 +14,7 @@ import (
 )
 
 func main() {
-	d, err := core.RunDefense(core.DefaultConfig())
+	d, err := core.RunDefense(context.Background(), core.DefaultConfig(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

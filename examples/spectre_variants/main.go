@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,7 +12,7 @@ import (
 )
 
 func main() {
-	rows, err := core.RunVariantMatrix(core.DefaultConfig())
+	rows, err := core.RunVariantMatrix(context.Background(), core.DefaultConfig(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,14 +80,10 @@ func Run(cfg cpu.Config, p Params) (Result, error) {
 // LeakSecret extracts every byte of p.Secret by re-running the PoC with an
 // advancing target address, as the paper's attacker would.  It returns the
 // recovered bytes (0 where the channel failed) and the per-byte results.
-func LeakSecret(cfg cpu.Config, p Params) ([]byte, []Result, error) {
-	return LeakSecretCtx(context.Background(), cfg, p, 0)
-}
-
-// LeakSecretCtx is LeakSecret with cancellation and an explicit worker
-// count (0 = GOMAXPROCS).  Each byte extraction is an independent PoC run
-// on a fresh machine, so they shard across the sweep engine.
-func LeakSecretCtx(ctx context.Context, cfg cpu.Config, p Params, workers int) ([]byte, []Result, error) {
+// Each byte extraction is an independent PoC run on a fresh machine, so they
+// shard across the sweep engine with `workers` goroutines (0 = GOMAXPROCS),
+// honouring ctx.
+func LeakSecret(ctx context.Context, cfg cpu.Config, p Params, workers int) ([]byte, []Result, error) {
 	idx := make([]int, len(p.Secret))
 	for i := range idx {
 		idx[i] = i

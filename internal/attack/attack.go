@@ -180,11 +180,13 @@ func prologue(b *asm.Builder, l Layout) {
 	b.Movi(rOnes, -1)
 	b.Movi(rInX, 1) // in-bounds training index
 	b.Movi(rBadX, int64(l.MaliciousX))
-	// The victim legitimately uses its secret (e.g. as a key), so its line
-	// is warm — the paper's threat model has the secret resident in the
-	// victim's working set.
+	// The victim legitimately uses its secret (e.g. as a key), so the line
+	// holding the targeted byte is warm — the paper's threat model has the
+	// secret resident in the victim's working set.  The secret starts on a
+	// line boundary and the attack reads secret byte MaliciousX-secretDist,
+	// so that byte's line sits at offset (MaliciousX-secretDist) &^ 63.
 	b.MoviAddr(rVT, l.Secret)
-	b.Ldb(rZ, rVT, 0)
+	b.Ldb(rZ, rVT, int64((l.MaliciousX-secretDist)&^63))
 }
 
 // lastIterMask computes rMask = ^0 when rI == 0 (the attack iteration) and 0

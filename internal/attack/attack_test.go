@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"specrun/internal/cpu"
@@ -172,7 +173,7 @@ func TestLeakSecretMultiByte(t *testing.T) {
 	secret := []byte("SPECRUN")
 	p := DefaultParams()
 	p.Secret = secret
-	got, results, err := LeakSecret(cpu.DefaultConfig(), p)
+	got, results, err := LeakSecret(context.Background(), cpu.DefaultConfig(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +187,33 @@ func TestLeakSecretMultiByte(t *testing.T) {
 	}
 }
 
+// TestLeakBeyondFirstSecretLine pins that the channel reaches secret bytes
+// past the first cache line: the prologue must warm the line holding the
+// targeted byte, not only the secret's first line.
+func TestLeakBeyondFirstSecretLine(t *testing.T) {
+	secret := make([]byte, 200)
+	for i := range secret {
+		secret[i] = byte(32 + i%95)
+	}
+	for _, idx := range []int{64, len(secret) - 1} {
+		p := DefaultParams()
+		p.Secret = secret
+		p.SecretIdx = idx
+		r, err := Run(cpu.DefaultConfig(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, ok := r.LeakedByte(); !ok || b != secret[idx] {
+			t.Errorf("secret_idx %d: leaked %d ok=%v, want %d", idx, b, ok, secret[idx])
+		}
+	}
+}
+
 // TestFig10Windows reproduces the N1/N2/N3 shape of Fig. 10: N1 is bounded
 // by the ROB (255 on the Table 1 machine), a single runahead episode exceeds
 // it, and repeated flushing goes substantially further.
 func TestFig10Windows(t *testing.T) {
-	n1, n2, n3, err := MeasureAllWindows(cpu.DefaultConfig())
+	n1, n2, n3, err := MeasureAllWindows(context.Background(), cpu.DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

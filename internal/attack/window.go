@@ -171,15 +171,10 @@ func MeasureWindow(base cpu.Config, s WindowScenario) (WindowResult, error) {
 	return r, nil
 }
 
-// MeasureAllWindows reproduces the full Fig. 10 triple (N1, N2, N3).
-func MeasureAllWindows(base cpu.Config) (n1, n2, n3 WindowResult, err error) {
-	return MeasureAllWindowsCtx(context.Background(), base, 0)
-}
-
-// MeasureAllWindowsCtx is MeasureAllWindows with cancellation and an
-// explicit worker count (0 = GOMAXPROCS); the three scenarios simulate
-// concurrently on the sweep engine.
-func MeasureAllWindowsCtx(ctx context.Context, base cpu.Config, workers int) (n1, n2, n3 WindowResult, err error) {
+// MeasureAllWindows reproduces the full Fig. 10 triple (N1, N2, N3).  The
+// three scenarios simulate concurrently on the sweep engine with `workers`
+// goroutines (0 = GOMAXPROCS), honouring ctx.
+func MeasureAllWindows(ctx context.Context, base cpu.Config, workers int) (n1, n2, n3 WindowResult, err error) {
 	scenarios := []WindowScenario{Window1NormalFlushOnce, Window2RunaheadFlushOnce, Window3RunaheadFlushRepeat}
 	results, err := sweep.First(ctx, scenarios, func(_ context.Context, s WindowScenario) (WindowResult, error) {
 		return MeasureWindow(base, s)

@@ -6,11 +6,11 @@
 // this package.
 //
 // Every multi-run driver shards its independent simulations across a
-// worker pool via specrun/internal/sweep.  Each Run* function has a
-// Run*Ctx sibling taking a context (cancellation) and a worker count
-// (0 = GOMAXPROCS); the plain form runs with background context and the
-// default pool.  Results are byte-identical at any worker count because
-// every job simulates a fresh machine.
+// worker pool via specrun/internal/sweep and takes a context (cancellation)
+// and a worker count (0 = GOMAXPROCS).  Results are byte-identical at any
+// worker count: each job runs on a fresh machine or on a pooled one that
+// Reset has rewound to its just-constructed state, so no job observes
+// another's residue.
 package core
 
 import (
@@ -185,32 +185,7 @@ func poolFor(cfg Config) *sweep.Local[*Machine] {
 // only the Stats outcome matters: the machine itself is recycled for the
 // next job rather than escaping to the caller.
 func RunProgramStats(cfg Config, prog *asm.Program) (cpu.Stats, error) {
-	pool := poolFor(cfg)
-	if pool == nil {
-		m, err := RunProgram(cfg, prog)
-		if err != nil {
-			return cpu.Stats{}, err
-		}
-		return *m.Stats(), nil
-	}
-	m := pool.Get()
-	if m == nil {
-		machinePools.misses.Add(1)
-		m = NewMachine(cfg, prog)
-	} else {
-		machinePools.hits.Add(1)
-		m.Reset(prog)
-	}
-	err := m.Run(defaultBudget)
-	st := *m.Stats()
-	// The stats copy must not share the reaches buffer with the recycled
-	// machine: the next job truncates and overwrites it.
-	st.EpisodeReaches = append([]uint64(nil), st.EpisodeReaches...)
-	pool.Put(m)
-	if err != nil {
-		return cpu.Stats{}, err
-	}
-	return st, nil
+	return RunProgramStatsCtx(context.Background(), cfg, prog, 0, nil)
 }
 
 // DefaultProgramBudget is the cycle budget RunProgram-family functions use
@@ -227,8 +202,8 @@ const progressChunk = 2_000_000
 // on a pooled machine in progressChunk-cycle slices, honouring ctx between
 // slices and reporting simulated cycles to onProgress (which may be nil).
 // budget zero means DefaultProgramBudget.  The result is identical to an
-// uncancelled RunProgramStats run — CPU.Run is resumable, so slicing does
-// not perturb the simulation.
+// unsliced run — CPU.Run is resumable, so slicing does not perturb the
+// simulation.
 func RunProgramStatsCtx(ctx context.Context, cfg Config, prog *asm.Program, budget uint64, onProgress func(cycles, budget uint64)) (cpu.Stats, error) {
 	if budget == 0 {
 		budget = DefaultProgramBudget
@@ -264,6 +239,8 @@ func RunProgramStatsCtx(ctx context.Context, cfg Config, prog *asm.Program, budg
 		}
 	}
 	st := *m.Stats()
+	// The stats copy must not share the reaches buffer with the recycled
+	// machine: the next job truncates and overwrites it.
 	st.EpisodeReaches = append([]uint64(nil), st.EpisodeReaches...)
 	if pool != nil {
 		pool.Put(m)
@@ -272,121 +249,6 @@ func RunProgramStatsCtx(ctx context.Context, cfg Config, prog *asm.Program, budg
 		return cpu.Stats{}, err
 	}
 	return st, nil
-}
-
-// ProgramJob is one lane of a batched run: a program and the configuration
-// to simulate it under.
-type ProgramJob struct {
-	Cfg  Config
-	Prog *asm.Program
-}
-
-// RunProgramJobsCtx executes every job on a pooled machine and returns the
-// per-job statistics and errors (both aligned with jobs; an errored job's
-// stats are zero).  Jobs are chunked into groups of `lanes` machines advanced
-// in lockstep by the batch driver (lanes <= 1 means one machine per group),
-// and the groups shard across `workers` goroutines.  Results are
-// byte-identical at any lane or worker count: machines share nothing, so the
-// tick interleaving is unobservable.  The returned error reports
-// cancellation; per-job simulation failures only appear in the error slice.
-func RunProgramJobsCtx(ctx context.Context, jobs []ProgramJob, lanes, workers int) ([]cpu.Stats, []error, error) {
-	if lanes < 1 {
-		lanes = 1
-	}
-	stats := make([]cpu.Stats, len(jobs))
-	errs := make([]error, len(jobs))
-	groups := make([][2]int, 0, (len(jobs)+lanes-1)/lanes)
-	for lo := 0; lo < len(jobs); lo += lanes {
-		groups = append(groups, [2]int{lo, min(lo+lanes, len(jobs))})
-	}
-	// Each group occupies one worker slot (and one sweep.Gate slot) for its
-	// whole lockstep run; groups write disjoint stats/errs ranges.
-	_, runErr := sweep.Run(ctx, groups, func(_ context.Context, g [2]int) (struct{}, error) {
-		lo, hi := g[0], g[1]
-		ms := make([]*cpu.CPU, hi-lo)
-		pools := make([]*sweep.Local[*Machine], hi-lo)
-		machines := make([]*Machine, hi-lo)
-		for i := lo; i < hi; i++ {
-			j := jobs[i]
-			pool := poolFor(j.Cfg)
-			var m *Machine
-			if pool != nil {
-				m = pool.Get()
-			}
-			if m == nil {
-				machinePools.misses.Add(1)
-				m = NewMachine(j.Cfg, j.Prog)
-			} else {
-				machinePools.hits.Add(1)
-				m.Reset(j.Prog)
-			}
-			ms[i-lo], pools[i-lo], machines[i-lo] = m.CPU, pool, m
-		}
-		cpu.RunLockstep(ms, defaultBudget, errs[lo:hi])
-		for i := lo; i < hi; i++ {
-			m := machines[i-lo]
-			if errs[i] == nil {
-				st := *m.Stats()
-				// Clone the reaches buffer: the recycled machine's next job
-				// truncates and overwrites it (same contract as
-				// RunProgramStats).
-				st.EpisodeReaches = append([]uint64(nil), st.EpisodeReaches...)
-				stats[i] = st
-			}
-			if pools[i-lo] != nil {
-				pools[i-lo].Put(m)
-			}
-		}
-		return struct{}{}, nil
-	}, sweep.Options{Workers: workers})
-	return stats, errs, runErr
-}
-
-// RunIPCComparisonLanes is RunIPCComparisonCtx routed through the batched
-// driver: the 2×len(kernels) simulations run in lockstep lane groups instead
-// of one sweep job each.  Rows are byte-identical to RunIPCComparisonCtx at
-// any lane count.
-func RunIPCComparisonLanes(ctx context.Context, base Config, workers, lanes int) ([]IPCRow, error) {
-	raCfg := base
-	if raCfg.Runahead.Kind == runahead.KindNone {
-		raCfg.Runahead.Kind = runahead.KindOriginal
-	}
-	noCfg := base
-	noCfg.Runahead.Kind = runahead.KindNone
-
-	kernels := workload.Kernels()
-	ipcJobs := make([]ipcJob, 0, 2*len(kernels))
-	jobs := make([]ProgramJob, 0, 2*len(kernels))
-	for _, k := range kernels {
-		ipcJobs = append(ipcJobs, ipcJob{kernel: k, cfg: noCfg}, ipcJob{kernel: k, cfg: raCfg, ra: true})
-		jobs = append(jobs, ProgramJob{Cfg: noCfg, Prog: k.Build()}, ProgramJob{Cfg: raCfg, Prog: k.Build()})
-	}
-	stats, errs, runErr := RunProgramJobsCtx(ctx, jobs, lanes, workers)
-	if runErr != nil {
-		return nil, runErr
-	}
-	for i, err := range errs {
-		if err != nil { // first failing job, like sweep.First's fail-fast error
-			j := ipcJobs[i]
-			return nil, fmt.Errorf("core: %s (ra=%v): %w", j.kernel.Name, j.ra, err)
-		}
-	}
-
-	rows := make([]IPCRow, 0, len(kernels))
-	for i, k := range kernels {
-		row := IPCRow{Name: k.Name, Description: k.Descr}
-		for col, st := range stats[2*i : 2*i+2] {
-			row.Cycles[col] = st.Cycles
-			row.Insts = st.Committed
-			row.IPC[col] = st.IPC()
-			if col == 1 {
-				row.Episodes = st.RunaheadEpisodes
-			}
-		}
-		row.Speedup = row.IPC[1] / row.IPC[0]
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // IPCRow is one bar pair of Fig. 7.
@@ -408,15 +270,10 @@ type ipcJob struct {
 }
 
 // RunIPCComparison reproduces Fig. 7: every workload kernel on the baseline
-// and the runahead machine, reporting normalized IPC.
-func RunIPCComparison(base Config) ([]IPCRow, error) {
-	return RunIPCComparisonCtx(context.Background(), base, 0)
-}
-
-// RunIPCComparisonCtx is RunIPCComparison with cancellation and an explicit
-// worker count (0 = GOMAXPROCS).  The 2×len(kernels) simulations are
-// independent and run in parallel; row order follows workload.Kernels().
-func RunIPCComparisonCtx(ctx context.Context, base Config, workers int) ([]IPCRow, error) {
+// and the runahead machine, reporting normalized IPC.  The 2×len(kernels)
+// simulations are independent and shard across `workers` goroutines
+// (0 = GOMAXPROCS), honouring ctx; row order follows workload.Kernels().
+func RunIPCComparison(ctx context.Context, base Config, workers int) ([]IPCRow, error) {
 	raCfg := base
 	if raCfg.Runahead.Kind == runahead.KindNone {
 		raCfg.Runahead.Kind = runahead.KindOriginal
@@ -504,14 +361,10 @@ type Fig11Result struct {
 }
 
 // RunFig11 reproduces Fig. 11: the nop-padded gadget (secret access beyond
-// the ROB, secret byte 127) on a no-runahead and a runahead machine.
-func RunFig11(cfg Config) (Fig11Result, error) {
-	return RunFig11Ctx(context.Background(), cfg, 0)
-}
-
-// RunFig11Ctx is RunFig11 with cancellation and an explicit worker count;
-// the two machines simulate concurrently.
-func RunFig11Ctx(ctx context.Context, cfg Config, workers int) (Fig11Result, error) {
+// the ROB, secret byte 127) on a no-runahead and a runahead machine.  The
+// two machines simulate concurrently on `workers` goroutines
+// (0 = GOMAXPROCS), honouring ctx.
+func RunFig11(ctx context.Context, cfg Config, workers int) (Fig11Result, error) {
 	p := attack.DefaultParams()
 	p.Secret = []byte{127}
 	p.NopPad = 300
@@ -525,15 +378,11 @@ func RunFig11Ctx(ctx context.Context, cfg Config, workers int) (Fig11Result, err
 	return Fig11Result{Runahead: results[0], NoRunahead: results[1]}, nil
 }
 
-// RunFig10 reproduces the N1/N2/N3 window measurements.
-func RunFig10(cfg Config) (n1, n2, n3 attack.WindowResult, err error) {
-	return attack.MeasureAllWindows(cfg)
-}
-
-// RunFig10Ctx is RunFig10 with cancellation and an explicit worker count;
-// the three scenarios simulate concurrently.
-func RunFig10Ctx(ctx context.Context, cfg Config, workers int) (n1, n2, n3 attack.WindowResult, err error) {
-	return attack.MeasureAllWindowsCtx(ctx, cfg, workers)
+// RunFig10 reproduces the N1/N2/N3 window measurements; the three
+// scenarios simulate concurrently on `workers` goroutines (0 = GOMAXPROCS),
+// honouring ctx.
+func RunFig10(ctx context.Context, cfg Config, workers int) (n1, n2, n3 attack.WindowResult, err error) {
+	return attack.MeasureAllWindows(ctx, cfg, workers)
 }
 
 // DefenseResult compares the attack under the vulnerable and secure machines.
@@ -545,14 +394,9 @@ type DefenseResult struct {
 
 // RunDefense reproduces the §6 evaluation: the Fig. 11 attack against the
 // vulnerable runahead machine, the SL-cache machine and the skip-INV-branch
-// restriction.
-func RunDefense(cfg Config) (DefenseResult, error) {
-	return RunDefenseCtx(context.Background(), cfg, 0)
-}
-
-// RunDefenseCtx is RunDefense with cancellation and an explicit worker
-// count; the three machines simulate concurrently.
-func RunDefenseCtx(ctx context.Context, cfg Config, workers int) (DefenseResult, error) {
+// restriction.  The three machines simulate concurrently on `workers`
+// goroutines (0 = GOMAXPROCS), honouring ctx.
+func RunDefense(ctx context.Context, cfg Config, workers int) (DefenseResult, error) {
 	p := attack.DefaultParams()
 	p.Secret = []byte{127}
 	p.NopPad = 300
@@ -575,16 +419,11 @@ type VariantOutcome struct {
 }
 
 // RunVariantMatrix runs the PoC across Spectre variants (§4.4) and runahead
-// variants (§4.3).
-func RunVariantMatrix(cfg Config) ([]VariantOutcome, error) {
-	return RunVariantMatrixCtx(context.Background(), cfg, 0)
-}
-
-// RunVariantMatrixCtx is RunVariantMatrix with cancellation and an explicit
-// worker count; the six PoC runs simulate concurrently.  Row order is
-// fixed: the four Spectre variants on original runahead, then the two
-// runahead variants under the PHT attack.
-func RunVariantMatrixCtx(ctx context.Context, cfg Config, workers int) ([]VariantOutcome, error) {
+// variants (§4.3).  The six PoC runs simulate concurrently on `workers`
+// goroutines (0 = GOMAXPROCS), honouring ctx.  Row order is fixed: the four
+// Spectre variants on original runahead, then the two runahead variants
+// under the PHT attack.
+func RunVariantMatrix(ctx context.Context, cfg Config, workers int) ([]VariantOutcome, error) {
 	var jobs []attackJob
 	var labels []string
 	// Spectre variants on original runahead.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestFig9EndToEnd(t *testing.T) {
 }
 
 func TestFig11EndToEnd(t *testing.T) {
-	r, err := RunFig11(DefaultConfig())
+	r, err := RunFig11(context.Background(), DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestFig11EndToEnd(t *testing.T) {
 }
 
 func TestFig10EndToEnd(t *testing.T) {
-	n1, n2, n3, err := RunFig10(DefaultConfig())
+	n1, n2, n3, err := RunFig10(context.Background(), DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestFig10EndToEnd(t *testing.T) {
 }
 
 func TestDefenseEndToEnd(t *testing.T) {
-	d, err := RunDefense(DefaultConfig())
+	d, err := RunDefense(context.Background(), DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestVariantMatrixEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("variant matrix is slow")
 	}
-	rows, err := RunVariantMatrix(DefaultConfig())
+	rows, err := RunVariantMatrix(context.Background(), DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestIPCComparisonShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig. 7 sweep is slow")
 	}
-	rows, err := RunIPCComparison(DefaultConfig())
+	rows, err := RunIPCComparison(context.Background(), DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

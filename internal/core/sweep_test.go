@@ -13,12 +13,12 @@ func TestIPCComparisonWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig. 7 sweep is slow")
 	}
-	serial, err := RunIPCComparisonCtx(context.Background(), DefaultConfig(), 1)
+	serial, err := RunIPCComparison(context.Background(), DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		parallel, err := RunIPCComparisonCtx(context.Background(), DefaultConfig(), workers)
+		parallel, err := RunIPCComparison(context.Background(), DefaultConfig(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,11 +35,11 @@ func TestVariantMatrixWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("variant matrix is slow")
 	}
-	serial, err := RunVariantMatrixCtx(context.Background(), DefaultConfig(), 1)
+	serial, err := RunVariantMatrix(context.Background(), DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunVariantMatrixCtx(context.Background(), DefaultConfig(), 6)
+	parallel, err := RunVariantMatrix(context.Background(), DefaultConfig(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,13 @@ func TestVariantMatrixWorkerInvariance(t *testing.T) {
 func TestDriverCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunIPCComparisonCtx(ctx, DefaultConfig(), 2); err == nil {
+	if _, err := RunIPCComparison(ctx, DefaultConfig(), 2); err == nil {
 		t.Error("cancelled IPC sweep must fail")
 	}
-	if _, err := RunVariantMatrixCtx(ctx, DefaultConfig(), 2); err == nil {
+	if _, err := RunVariantMatrix(ctx, DefaultConfig(), 2); err == nil {
 		t.Error("cancelled variant sweep must fail")
 	}
-	if _, err := RunDefenseCtx(ctx, DefaultConfig(), 2); err == nil {
+	if _, err := RunDefense(ctx, DefaultConfig(), 2); err == nil {
 		t.Error("cancelled defense sweep must fail")
 	}
 }
@@ -69,7 +69,7 @@ func TestDriverCancellation(t *testing.T) {
 func TestDriverErrorPropagation(t *testing.T) {
 	bad := DefaultConfig()
 	bad.ROBSize = 0 // machine cannot commit anything: the run budget trips
-	if _, err := RunIPCComparisonCtx(context.Background(), bad, 4); err == nil {
+	if _, err := RunIPCComparison(context.Background(), bad, 4); err == nil {
 		t.Error("want error from a non-progressing machine")
 	}
 }

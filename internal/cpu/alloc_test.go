@@ -210,36 +210,11 @@ func TestResetReuseZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchRunZeroAllocSteadyState extends the zero-allocation pin to the
-// batched driver: once every lane's machine and the per-PC predecode caches
-// are warm, a full RunPrograms round (Reset + lockstep re-run of every lane)
-// allocates nothing.
-func TestBatchRunZeroAllocSteadyState(t *testing.T) {
-	progs := []*asm.Program{
-		proggen.Generate(7, proggen.DefaultOptions()),
-		proggen.Generate(8, proggen.DefaultOptions()),
-	}
-	b := NewBatch(DefaultConfig(), len(progs))
-	run := func() {
-		for i, err := range b.RunPrograms(progs, 20_000_000) {
-			if err != nil {
-				t.Fatalf("lane %d: %v", i, err)
-			}
-		}
-	}
-	run() // warmup 1: build lane machines, grow pools to high-water marks
-	run() // warmup 2: cover the reset path itself
-	avg := testing.AllocsPerRun(3, run)
-	if avg != 0 {
-		t.Fatalf("batched RunPrograms allocates: %.1f allocs per round, want 0", avg)
-	}
-}
-
 // freshMachineAllocBudget pins the construction cost of one default-config
 // machine.  New currently performs ~165 allocations (queues, pools, caches,
 // predictor tables, the predecode cache); the pin leaves a little headroom
 // for layout changes but catches order-of-magnitude drift — a regression
-// here multiplies across every batch lane and every pooled campaign worker.
+// here multiplies across every pooled sweep and campaign worker.
 const freshMachineAllocBudget = 200
 
 func TestFreshMachineAllocBudget(t *testing.T) {

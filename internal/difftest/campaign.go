@@ -98,16 +98,6 @@ type Report struct {
 // shrinker unless the spec opts out.  A cancelled campaign returns the
 // partial report plus the context error.
 func Run(ctx context.Context, spec CampaignSpec, opt sweep.Options) (Report, error) {
-	return RunLanes(ctx, spec, opt, 1)
-}
-
-// RunLanes is Run with each seed's configuration matrix advanced in lockstep
-// lane groups of the given width (CheckSeedLanes).  The report is
-// byte-identical to Run at any lane count, so lanes stays out of the
-// content-addressed CampaignSpec: it is an execution knob, not part of the
-// experiment's identity.  The interleave oracle has no batched path and runs
-// serially regardless of lanes.
-func RunLanes(ctx context.Context, spec CampaignSpec, opt sweep.Options, lanes int) (Report, error) {
 	spec = spec.WithDefaults()
 	if spec.Leaks {
 		return Report{}, fmt.Errorf("difftest: leak campaigns run via specrun/internal/leak")
@@ -128,9 +118,7 @@ func RunLanes(ctx context.Context, spec CampaignSpec, opt sweep.Options, lanes i
 	for i := range seeds {
 		seeds[i] = spec.SeedBase + int64(i)
 	}
-	check := func(seed int64, popt proggen.Options, cfgs []NamedConfig) SeedResult {
-		return CheckSeedLanes(seed, popt, cfgs, lanes)
-	}
+	check := CheckSeed
 	if spec.Interleave {
 		check = CheckInterleave
 	}

@@ -145,12 +145,6 @@ type runnerCache struct {
 
 	refRecs  []record
 	pipeRecs []record
-
-	// Lane scratch for CheckSeedLanes: per-lane machines, results and commit
-	// records for one lockstep group (reused across groups and seeds).
-	laneMs   []*cpu.CPU
-	laneErrs []error
-	laneRecs [][]record
 }
 
 // cacheEntry guards reuse by value-comparing the full configuration: two
@@ -225,26 +219,6 @@ func (rc *runnerCache) refStream(prog *asm.Program) ([]record, *iss.Interp, erro
 // next configuration; any caller that needs two streams at once must clone
 // the first.
 func (rc *runnerCache) pipeStream(nc NamedConfig, prog *asm.Program) ([]record, *cpu.CPU, error) {
-	c := rc.entryFor(nc, prog).c
-	if rc.pipeRecs == nil {
-		rc.pipeRecs = make([]record, 0, 4096)
-	}
-	recs := rc.pipeRecs[:0]
-	c.SetCommitHook(func(r cpu.CommitRecord) {
-		recs = append(recs, record{pc: r.PC, op: r.Op.Name(), dest: destString(r.Dest), v: r.Val, v2: r.Val2})
-	})
-	err := c.Run(cpuBudget)
-	c.SetCommitHook(nil)
-	rc.pipeRecs = recs[:0]
-	return recs, c, err
-}
-
-// entryFor returns nc's cached machine loaded with prog (Reset on reuse,
-// built on first use, LRU-evicting on overflow) and marks it most recently
-// used.  Entries touched back to back — a lockstep lane group — carry the
-// highest lastUse values, so a group of at most RunnerCacheCap machines never
-// evicts its own members.
-func (rc *runnerCache) entryFor(nc NamedConfig, prog *asm.Program) *cacheEntry {
 	e := rc.cpus[nc.Name]
 	if e == nil || e.cfg != nc.Config {
 		if e == nil && len(rc.cpus) >= RunnerCacheCap {
@@ -265,7 +239,18 @@ func (rc *runnerCache) entryFor(nc NamedConfig, prog *asm.Program) *cacheEntry {
 	}
 	rc.tick++
 	e.lastUse = rc.tick
-	return e
+	c := e.c
+	if rc.pipeRecs == nil {
+		rc.pipeRecs = make([]record, 0, 4096)
+	}
+	recs := rc.pipeRecs[:0]
+	c.SetCommitHook(func(r cpu.CommitRecord) {
+		recs = append(recs, record{pc: r.PC, op: r.Op.Name(), dest: destString(r.Dest), v: r.Val, v2: r.Val2})
+	})
+	err := c.Run(cpuBudget)
+	c.SetCommitHook(nil)
+	rc.pipeRecs = recs[:0]
+	return recs, c, err
 }
 
 // CheckSeed generates the program for seed and compares the pipeline against

@@ -36,12 +36,12 @@ import (
 type Point uint8
 
 const (
-	DiskWrite   Point = iota // rescache disk tier: entry write fails
-	DiskRead                 // rescache disk tier: entry read fails
-	Fsync                    // any fsync (cache entries, journal records)
-	JournalWrite             // server job journal: append fails
-	WorkerPanic              // sweep engine: worker panics before running a job
-	JobStall                 // server job runner: stalls long enough to expire its lease
+	DiskWrite    Point = iota // rescache disk tier: entry write fails
+	DiskRead                  // rescache disk tier: entry read fails
+	Fsync                     // any fsync (cache entries, journal records)
+	JournalWrite              // server job journal: append fails
+	WorkerPanic               // sweep engine: worker panics before running a job
+	JobStall                  // server job runner: stalls long enough to expire its lease
 	numPoints
 )
 

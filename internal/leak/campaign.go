@@ -55,15 +55,6 @@ func Options(spec difftest.CampaignSpec) proggen.Options {
 // ctx.  Leaky seeds are minimized with the difftest shrinker unless the
 // spec opts out.
 func Run(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options) (Report, error) {
-	return RunLanes(ctx, spec, opt, 1)
-}
-
-// RunLanes is Run with each seed's configuration matrix advanced in lockstep
-// lane groups of the given width (CheckSeedLanes).  The report is
-// byte-identical to Run at any lane count, so lanes stays out of the
-// content-addressed CampaignSpec.  The golden corpus and the shrinker run
-// serially regardless of lanes.
-func RunLanes(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options, lanes int) (Report, error) {
 	spec = spec.WithDefaults()
 	if !spec.Leaks {
 		return Report{}, fmt.Errorf("leak: spec does not request a leak campaign")
@@ -94,7 +85,7 @@ func RunLanes(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options
 		seeds[i] = spec.SeedBase + int64(i)
 	}
 	results, runErr := sweep.Run(ctx, seeds, func(_ context.Context, seed int64) (SeedResult, error) {
-		return CheckSeedLanes(seed, popt, cfgs, lanes), nil
+		return CheckSeed(seed, popt, cfgs), nil
 	}, opt)
 
 	rep.PerConfig = make([]ConfigSummary, len(cfgs))

@@ -157,8 +157,7 @@ type Input struct {
 // inputs: one reference interpreter, one observed pipeline machine per
 // configuration, and the reusable trace buffers.  Each machine's observers
 // are installed once at construction and write through its own entry.active,
-// so machine reuse never reinstalls closures — and machines advanced together
-// in a lockstep lane group record into separate buffers.
+// so machine reuse never reinstalls closures.
 type Runner struct {
 	ref  *iss.Interp
 	cpus map[string]*entry
@@ -167,12 +166,6 @@ type Runner struct {
 	active     *[]Event // buffer the interpreter's observer appends to
 	bufA, bufB []Event
 	seqA, seqB []Event
-
-	// Lane scratch for CheckSeedLanes (reused across groups and seeds).
-	laneEs             []*entry
-	laneMs             []*cpu.CPU
-	laneErrs           []error
-	laneBufA, laneBufB [][]Event
 }
 
 type entry struct {
@@ -252,12 +245,11 @@ func (r *Runner) seqTrace(prog *asm.Program, poke func(*mem.Memory), into *[]Eve
 	return err
 }
 
-// entryFor returns nc's cached machine loaded with prog (Reset on reuse,
-// built with observers installed on first use, LRU-evicting on overflow) and
-// marks it most recently used.  Entries touched back to back — a lockstep
-// lane group — carry the highest lastUse values, so a group of at most
-// RunnerCacheCap machines never evicts its own members.
-func (r *Runner) entryFor(nc difftest.NamedConfig, prog *asm.Program) *entry {
+// pipeTrace runs prog on the pipeline under nc and captures its observation
+// trace.  Machines are cached per configuration name (value-compared, LRU-
+// bounded like the difftest runner cache) with observers pre-installed —
+// Reset keeps them.
+func (r *Runner) pipeTrace(nc difftest.NamedConfig, prog *asm.Program, poke func(*mem.Memory), into *[]Event) error {
 	e := r.cpus[nc.Name]
 	if e == nil || e.cfg != nc.Config {
 		if e == nil && len(r.cpus) >= difftest.RunnerCacheCap {
@@ -281,15 +273,6 @@ func (r *Runner) entryFor(nc difftest.NamedConfig, prog *asm.Program) *entry {
 	}
 	r.tick++
 	e.lastUse = r.tick
-	return e
-}
-
-// pipeTrace runs prog on the pipeline under nc and captures its observation
-// trace.  Machines are cached per configuration name (value-compared, LRU-
-// bounded like the difftest runner cache) with observers pre-installed —
-// Reset keeps them.
-func (r *Runner) pipeTrace(nc difftest.NamedConfig, prog *asm.Program, poke func(*mem.Memory), into *[]Event) error {
-	e := r.entryFor(nc, prog)
 	if poke != nil {
 		poke(e.c.Mem())
 	}

@@ -16,13 +16,13 @@ import (
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
-	Hits       uint64     `json:"hits"`        // served from a stored entry (memory or disk)
-	Misses     uint64     `json:"misses"`      // computations actually run
-	Dedups     uint64     `json:"dedups"`      // callers coalesced onto an in-flight computation
-	Evictions  uint64     `json:"evictions"`   // entries discarded by the LRU bound
-	Entries    int        `json:"entries"`     // stored entries right now
-	MaxEntries int        `json:"max_entries"` // capacity bound
-	HitRate    float64    `json:"hit_rate"`    // (hits+dedups) / lookups, 0 when idle
+	Hits       uint64     `json:"hits"`           // served from a stored entry (memory or disk)
+	Misses     uint64     `json:"misses"`         // computations actually run
+	Dedups     uint64     `json:"dedups"`         // callers coalesced onto an in-flight computation
+	Evictions  uint64     `json:"evictions"`      // entries discarded by the LRU bound
+	Entries    int        `json:"entries"`        // stored entries right now
+	MaxEntries int        `json:"max_entries"`    // capacity bound
+	HitRate    float64    `json:"hit_rate"`       // (hits+dedups) / lookups, 0 when idle
 	Disk       *DiskStats `json:"disk,omitempty"` // persistent tier, when attached (see AttachDisk)
 }
 

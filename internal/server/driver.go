@@ -64,7 +64,7 @@ func runOne(ctx context.Context, cfg core.Config, p attack.Params) (core.AttackR
 var drivers = []Driver{
 	{"ipc", "Fig. 7 — normalized IPC over the six benchmarks", false,
 		func(ctx context.Context, cfg core.Config, _ attack.Params, workers int) (any, error) {
-			rows, err := core.RunIPCComparisonCtx(ctx, cfg, workers)
+			rows, err := core.RunIPCComparison(ctx, cfg, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -76,7 +76,7 @@ var drivers = []Driver{
 		}},
 	{"fig10", "Fig. 10 — N1/N2/N3 transient-window measurements", false,
 		func(ctx context.Context, cfg core.Config, _ attack.Params, workers int) (any, error) {
-			n1, n2, n3, err := core.RunFig10Ctx(ctx, cfg, workers)
+			n1, n2, n3, err := core.RunFig10(ctx, cfg, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -84,15 +84,15 @@ var drivers = []Driver{
 		}},
 	{"fig11", "Fig. 11 — beyond-the-ROB leak on both machines", false,
 		func(ctx context.Context, cfg core.Config, _ attack.Params, workers int) (any, error) {
-			return core.RunFig11Ctx(ctx, cfg, workers)
+			return core.RunFig11(ctx, cfg, workers)
 		}},
 	{"defense", "§6 — SL cache and skip-INV mitigations", false,
 		func(ctx context.Context, cfg core.Config, _ attack.Params, workers int) (any, error) {
-			return core.RunDefenseCtx(ctx, cfg, workers)
+			return core.RunDefense(ctx, cfg, workers)
 		}},
 	{"variants", "§4.3/§4.4 — attack applicability matrix", false,
 		func(ctx context.Context, cfg core.Config, _ attack.Params, workers int) (any, error) {
-			rows, err := core.RunVariantMatrixCtx(ctx, cfg, workers)
+			rows, err := core.RunVariantMatrix(ctx, cfg, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +104,7 @@ var drivers = []Driver{
 		}},
 	{"leak", "multi-byte secret extraction (one PoC per byte)", true,
 		func(ctx context.Context, cfg core.Config, p attack.Params, workers int) (any, error) {
-			got, results, err := attack.LeakSecretCtx(ctx, cfg, p, workers)
+			got, results, err := attack.LeakSecret(ctx, cfg, p, workers)
 			if err != nil {
 				return nil, err
 			}

@@ -90,11 +90,11 @@ func TestRunEndpointsMatchDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1, n2, n3, err := core.RunFig10(cfg)
+	n1, n2, n3, err := core.RunFig10(context.Background(), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defense, err := core.RunDefense(cfg)
+	defense, err := core.RunDefense(context.Background(), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +293,19 @@ func TestSweepEndpoint(t *testing.T) {
 	_, hdr, body2 := do(t, "POST", ts.URL+"/v1/sweep", spec)
 	if hdr.Get("X-Cache") != "HIT" || !bytes.Equal(body, body2) {
 		t.Fatalf("repeated sweep: X-Cache=%q identical=%v", hdr.Get("X-Cache"), bytes.Equal(body, body2))
+	}
+	// Worker counts tune execution, not the result: the same grid with a
+	// workers field hits the same cache entry.
+	withWorkers := `{"mode": "ipc", "rob": [64], "runahead": ["none", "original"], "workloads": ["mcf"], "workers": 1}`
+	_, hdr, body3 := do(t, "POST", ts.URL+"/v1/sweep", withWorkers)
+	if hdr.Get("X-Cache") != "HIT" || !bytes.Equal(body, body3) {
+		t.Fatalf("sweep with workers: X-Cache=%q identical=%v", hdr.Get("X-Cache"), bytes.Equal(body, body3))
+	}
+	// Unknown fields are rejected, so no field outside the grid can split
+	// the cache key.
+	withLanes := `{"mode": "ipc", "rob": [64], "runahead": ["none", "original"], "workloads": ["mcf"], "lanes": 2}`
+	if code, _, body := do(t, "POST", ts.URL+"/v1/sweep", withLanes); code != http.StatusBadRequest || !bytes.Contains(body, []byte("unknown field")) {
+		t.Fatalf("sweep with lanes: %d %s", code, body)
 	}
 	// Validation failures are 400s.
 	if code, _, body := do(t, "POST", ts.URL+"/v1/sweep", `{"mode": "nope"}`); code != http.StatusBadRequest {

@@ -2,14 +2,11 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"specrun/internal/attack"
 	"specrun/internal/core"
-	"specrun/internal/cpu"
 	"specrun/internal/runahead"
 	"specrun/internal/sweep"
 	"specrun/internal/workload"
@@ -29,13 +26,6 @@ type SweepSpec struct {
 	Pad       int      `json:"pad,omitempty"`       // attack mode: nops before the secret access
 	Secure    bool     `json:"secure,omitempty"`    // §6 SL-cache defense on every point
 	Workers   int      `json:"workers,omitempty"`   // worker goroutines (0 = GOMAXPROCS)
-	// Lanes > 1 advances the ipc-mode grid in lockstep lane groups on the
-	// batched simulation driver (core.RunProgramJobsCtx); each group occupies
-	// one worker slot.  Rows are byte-identical at any lane count — lanes is
-	// an execution knob, not part of the grid — but it stays in the spec so
-	// HTTP callers can set it.  Attack mode ignores it (attack runs drive
-	// their own probe loops, not a single program simulation).
-	Lanes int `json:"lanes,omitempty"`
 }
 
 // SweepResult is one row per grid point: the axis values (as strings) plus
@@ -151,7 +141,7 @@ func RunSweep(ctx context.Context, spec SweepSpec, opt sweep.Options) (SweepResu
 	var runErr error
 	switch spec.Mode {
 	case "ipc":
-		cols, results, runErr = sweepIPC(ctx, points, spec.Secure, spec.Lanes, opt)
+		cols, results, runErr = sweepIPC(ctx, points, spec.Secure, opt)
 	case "attack":
 		cols, results, runErr = sweepAttack(ctx, points, spec.Pad, spec.Secure, opt)
 	}
@@ -173,20 +163,7 @@ func pointConfig(p sweep.Point, secure bool) (core.Config, error) {
 	return cfg, nil
 }
 
-func sweepIPC(ctx context.Context, points []sweep.Point, secure bool, lanes int, opt sweep.Options) ([]string, []map[string]any, error) {
-	cols := []string{"rob", "runahead", "workload", "cycles", "insts", "ipc", "episodes", "error"}
-	ipcCells := func(st cpu.Stats) map[string]any {
-		return map[string]any{
-			"cycles":   st.Cycles,
-			"insts":    st.Committed,
-			"ipc":      st.IPC(),
-			"episodes": st.RunaheadEpisodes,
-		}
-	}
-	if lanes > 1 {
-		results, err := sweepIPCLanes(ctx, points, secure, lanes, opt, ipcCells)
-		return cols, results, err
-	}
+func sweepIPC(ctx context.Context, points []sweep.Point, secure bool, opt sweep.Options) ([]string, []map[string]any, error) {
 	results, err := sweep.Run(ctx, points, func(_ context.Context, p sweep.Point) (map[string]any, error) {
 		cfg, err := pointConfig(p, secure)
 		if err != nil {
@@ -200,56 +177,15 @@ func sweepIPC(ctx context.Context, points []sweep.Point, secure bool, lanes int,
 		if err != nil {
 			return nil, err
 		}
-		return ipcCells(st), nil
+		return map[string]any{
+			"cycles":   st.Cycles,
+			"insts":    st.Committed,
+			"ipc":      st.IPC(),
+			"episodes": st.RunaheadEpisodes,
+		}, nil
 	}, opt)
+	cols := []string{"rob", "runahead", "workload", "cycles", "insts", "ipc", "episodes", "error"}
 	return cols, results, err
-}
-
-// sweepIPCLanes is the batched ipc-mode grid: points resolve to (config,
-// kernel) jobs up front, the valid jobs run in lockstep lane groups, and the
-// per-point results and error strings come back exactly as the serial path
-// would report them (sweep.JobError per failing point, ascending by index).
-func sweepIPCLanes(ctx context.Context, points []sweep.Point, secure bool, lanes int, opt sweep.Options, cells func(cpu.Stats) map[string]any) ([]map[string]any, error) {
-	results := make([]map[string]any, len(points))
-	var jobErrs []*sweep.JobError
-	fail := func(i int, err error) { jobErrs = append(jobErrs, &sweep.JobError{Index: i, Err: err}) }
-
-	jobs := make([]core.ProgramJob, 0, len(points))
-	jobIdx := make([]int, 0, len(points)) // jobs[j] simulates points[jobIdx[j]]
-	for i, p := range points {
-		cfg, err := pointConfig(p, secure)
-		if err != nil {
-			fail(i, err)
-			continue
-		}
-		k, err := workload.ByName(p["workload"])
-		if err != nil {
-			fail(i, err)
-			continue
-		}
-		jobs = append(jobs, core.ProgramJob{Cfg: cfg, Prog: k.Build()})
-		jobIdx = append(jobIdx, i)
-	}
-	stats, errs, runErr := core.RunProgramJobsCtx(ctx, jobs, lanes, opt.Workers)
-	for j, i := range jobIdx {
-		if errs[j] != nil {
-			fail(i, errs[j])
-			continue
-		}
-		if runErr != nil && stats[j].Cycles == 0 {
-			continue // cancelled before this group ran: leave the row unmeasured
-		}
-		results[i] = cells(stats[j])
-	}
-	sort.Slice(jobErrs, func(a, b int) bool { return jobErrs[a].Index < jobErrs[b].Index })
-	errList := make([]error, 0, len(jobErrs)+1)
-	if runErr != nil {
-		errList = append(errList, runErr)
-	}
-	for _, je := range jobErrs {
-		errList = append(errList, je)
-	}
-	return results, errors.Join(errList...)
 }
 
 func sweepAttack(ctx context.Context, points []sweep.Point, pad int, secure bool, opt sweep.Options) ([]string, []map[string]any, error) {

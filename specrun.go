@@ -12,8 +12,8 @@
 // The heavy lifting lives in the internal packages; this package re-exports
 // the experiment-level API used by the command-line tools, the examples and
 // the benchmark harness.  Multi-run drivers shard their independent
-// simulations across a worker pool (specrun/internal/sweep); the *Ctx
-// variants expose cancellation and the worker count.
+// simulations across a worker pool (specrun/internal/sweep) and take a
+// context (cancellation) and a worker count (0 = GOMAXPROCS).
 package specrun
 
 import (
@@ -61,23 +61,18 @@ var (
 )
 
 // Experiment drivers (one per table/figure of the paper).  The multi-run
-// drivers shard their independent simulations across a worker pool; the
-// Ctx variants expose cancellation and the worker count (0 = GOMAXPROCS).
+// drivers shard their independent simulations across a worker pool and take
+// a context and a worker count (0 = GOMAXPROCS).
 var (
-	RunFig9             = core.RunFig9
-	RunFig10            = core.RunFig10
-	RunFig10Ctx         = core.RunFig10Ctx
-	RunFig11            = core.RunFig11
-	RunFig11Ctx         = core.RunFig11Ctx
-	RunIPCComparison    = core.RunIPCComparison
-	RunIPCComparisonCtx = core.RunIPCComparisonCtx
-	RunDefense          = core.RunDefense
-	RunDefenseCtx       = core.RunDefenseCtx
-	RunVariantMatrix    = core.RunVariantMatrix
-	RunVariantMatrixCtx = core.RunVariantMatrixCtx
-	RunAttack           = core.RunAttack
-	NewMachine          = core.NewMachine
-	RunProgram          = core.RunProgram
+	RunFig9          = core.RunFig9
+	RunFig10         = core.RunFig10
+	RunFig11         = core.RunFig11
+	RunIPCComparison = core.RunIPCComparison
+	RunDefense       = core.RunDefense
+	RunVariantMatrix = core.RunVariantMatrix
+	RunAttack        = core.RunAttack
+	NewMachine       = core.NewMachine
+	RunProgram       = core.RunProgram
 )
 
 // Report formatters.
