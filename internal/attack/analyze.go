@@ -60,29 +60,34 @@ type Result struct {
 // runBudget bounds one PoC simulation.
 const runBudget = 10_000_000
 
-// Run builds and executes the PoC on a machine with configuration cfg.
+// Run builds and executes the PoC on a machine with configuration cfg,
+// borrowed from the CPU model's machine pool.
 func Run(cfg cpu.Config, p Params) (Result, error) {
 	prog, l, err := Build(p)
 	if err != nil {
 		return Result{}, err
 	}
-	c := cpu.New(cfg, prog)
+	c := cpu.Borrow(cfg, prog)
+	defer c.Release()
 	if err := c.Run(runBudget); err != nil {
 		return Result{}, fmt.Errorf("attack: %s run: %w", p.Variant, err)
 	}
+	st := *c.Stats()
+	// The next borrower truncates and rewrites the machine's reaches buffer.
+	st.EpisodeReaches = append([]uint64(nil), st.EpisodeReaches...)
 	return Result{
 		Analysis: Analyze(ReadLatencies(c, l)),
 		Layout:   l,
-		Stats:    *c.Stats(),
+		Stats:    st,
 	}, nil
 }
 
 // LeakSecret extracts every byte of p.Secret by re-running the PoC with an
 // advancing target address, as the paper's attacker would.  It returns the
 // recovered bytes (0 where the channel failed) and the per-byte results.
-// Each byte extraction is an independent PoC run on a fresh machine, so they
-// shard across the sweep engine with `workers` goroutines (0 = GOMAXPROCS),
-// honouring ctx.
+// Each byte extraction is an independent PoC run on its own Reset machine,
+// so they shard across the sweep engine with `workers` goroutines
+// (0 = GOMAXPROCS), honouring ctx.
 func LeakSecret(ctx context.Context, cfg cpu.Config, p Params, workers int) ([]byte, []Result, error) {
 	idx := make([]int, len(p.Secret))
 	for i := range idx {

@@ -153,7 +153,8 @@ func MeasureWindow(base cpu.Config, s WindowScenario) (WindowResult, error) {
 		cfg.Runahead.Kind = runahead.KindOriginal
 	}
 	prog := BuildWindowProgram(s)
-	c := cpu.New(cfg, prog)
+	c := cpu.Borrow(cfg, prog)
+	defer c.Release()
 	if err := c.Run(runBudget); err != nil {
 		return WindowResult{}, fmt.Errorf("attack: window %v: %w", s, err)
 	}

@@ -8,20 +8,18 @@
 // Every multi-run driver shards its independent simulations across a
 // worker pool via specrun/internal/sweep and takes a context (cancellation)
 // and a worker count (0 = GOMAXPROCS).  Results are byte-identical at any
-// worker count: each job runs on a fresh machine or on a pooled one that
-// Reset has rewound to its just-constructed state, so no job observes
-// another's residue.
+// worker count: each job borrows a machine from the CPU model's pool
+// (cpu.Borrow), one per worker per machine shape, which Reset has rewound to
+// its just-constructed state, so no job observes another's residue.  Only
+// RunProgram builds a fresh machine, because it hands the machine to its
+// caller.
 package core
 
 import (
-	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"specrun/internal/asm"
 	"specrun/internal/attack"
@@ -91,94 +89,13 @@ func RunProgram(cfg Config, prog *asm.Program) (*Machine, error) {
 	return m, nil
 }
 
-// machinePools caches reusable machines per configuration for
-// [RunProgramStats]: multi-run drivers simulate thousands of programs on a
-// handful of configurations, and rebuilding the multi-megabyte cache and
-// predictor arrays per job dominated their allocation profile.  Keyed by the
-// configuration's canonical JSON; at most one machine per worker per
-// configuration is live at a time, and idle machines are released under GC
-// pressure (sync.Pool semantics via sweep.Local).
-//
-// The pool set itself is a bounded LRU over configurations: a long-lived
-// `specrun serve` answering grid sweeps can touch an unbounded number of
-// distinct configurations, and each pool holds up to one ~3 MB machine per
-// worker.  Evicting the least-recently-used configuration drops its
-// sweep.Local (the machines become garbage); the next request for that
-// configuration simply rebuilds.  PoolStats surfaces the counters on
-// GET /v1/stats.
-const machinePoolCap = 64
-
-type poolLRU struct {
-	mu        sync.Mutex
-	ll        *list.List // front = most recently used; values are *poolEntry
-	entries   map[string]*list.Element
-	evictions uint64
-	// Reuse counters: a hit recycled a warm machine via Reset, a miss built
-	// one from scratch.  Updated lock-free from RunProgramStats (pool.Get
-	// happens outside the LRU lock).
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-type poolEntry struct {
-	key   string
-	local *sweep.Local[*Machine]
-}
-
-var machinePools = poolLRU{
-	ll:      list.New(),
-	entries: make(map[string]*list.Element, machinePoolCap),
-}
-
-// get returns the pool for key, creating (and possibly evicting) as needed.
-func (l *poolLRU) get(key string) *sweep.Local[*Machine] {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.entries[key]; ok {
-		l.ll.MoveToFront(el)
-		return el.Value.(*poolEntry).local
-	}
-	if len(l.entries) >= machinePoolCap {
-		victim := l.ll.Back()
-		l.ll.Remove(victim)
-		delete(l.entries, victim.Value.(*poolEntry).key)
-		l.evictions++
-	}
-	e := &poolEntry{key: key, local: sweep.NewLocal(func() *Machine { return nil })}
-	l.entries[key] = l.ll.PushFront(e)
-	return e.local
-}
-
-// PoolStats reports the machine-pool LRU state.
-type PoolStats struct {
-	Configs   int    `json:"configs"`   // configurations with a live pool
-	Capacity  int    `json:"capacity"`  // LRU bound
-	Evictions uint64 `json:"evictions"` // configurations dropped since process start
-	Hits      uint64 `json:"hits"`      // jobs that recycled a warm machine
-	Misses    uint64 `json:"misses"`    // jobs that built a machine from scratch
-}
+// PoolStats reports the machine pool every run-to-completion simulation
+// borrows from (see cpu.Borrow).
+type PoolStats = cpu.PoolStats
 
 // MachinePoolStats returns the current machine-pool counters (served on
 // GET /v1/stats and /metrics).
-func MachinePoolStats() PoolStats {
-	machinePools.mu.Lock()
-	defer machinePools.mu.Unlock()
-	return PoolStats{
-		Configs:   len(machinePools.entries),
-		Capacity:  machinePoolCap,
-		Evictions: machinePools.evictions,
-		Hits:      machinePools.hits.Load(),
-		Misses:    machinePools.misses.Load(),
-	}
-}
-
-func poolFor(cfg Config) *sweep.Local[*Machine] {
-	key, err := json.Marshal(cfg)
-	if err != nil {
-		return nil // unkeyable config (cannot happen for real Config values)
-	}
-	return machinePools.get(string(key))
-}
+func MachinePoolStats() PoolStats { return cpu.MachinePoolStats() }
 
 // RunProgramStats executes prog to completion on a pooled machine and
 // returns the run statistics by value.  Use it instead of RunProgram when
@@ -208,18 +125,7 @@ func RunProgramStatsCtx(ctx context.Context, cfg Config, prog *asm.Program, budg
 	if budget == 0 {
 		budget = DefaultProgramBudget
 	}
-	pool := poolFor(cfg)
-	var m *Machine
-	if pool != nil {
-		m = pool.Get()
-	}
-	if m == nil {
-		machinePools.misses.Add(1)
-		m = NewMachine(cfg, prog)
-	} else {
-		machinePools.hits.Add(1)
-		m.Reset(prog)
-	}
+	m := cpu.Borrow(cfg, prog)
 	var err error
 	for {
 		if err = ctx.Err(); err != nil {
@@ -242,9 +148,7 @@ func RunProgramStatsCtx(ctx context.Context, cfg Config, prog *asm.Program, budg
 	// The stats copy must not share the reaches buffer with the recycled
 	// machine: the next job truncates and overwrites it.
 	st.EpisodeReaches = append([]uint64(nil), st.EpisodeReaches...)
-	if pool != nil {
-		pool.Put(m)
-	}
+	m.Release()
 	if err != nil {
 		return cpu.Stats{}, err
 	}

@@ -3,6 +3,7 @@ package cpu
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
 	"specrun/internal/asm"
@@ -230,47 +231,143 @@ func TestFreshMachineAllocBudget(t *testing.T) {
 }
 
 // TestResetMatchesFresh pins the correctness contract machine reuse rests
-// on: a Reset machine is byte-identical — same statistics, same committed
-// state — to a freshly constructed one, across the runahead variants and
-// the secure mode, and even when the previous program differed.
+// on: a machine lent for a new run is byte-identical — same statistics,
+// registers, commit stream and final cache state — to a freshly constructed
+// one, across the runahead variants, the §6 mitigations and the BTB attack
+// geometry, and even when the machine's previous run used another program
+// under another configuration.  For every ordered pair (prev, cfg) the
+// machine first runs progA under prev; a machine of the same shape is then
+// lent to cfg exactly as Borrow lends an idle one, while a machine of
+// another shape goes back to the pool and cfg borrows its own.
 func TestResetMatchesFresh(t *testing.T) {
-	cfgs := map[string]Config{
-		"baseline": func() Config { c := DefaultConfig(); c.Runahead.Kind = runahead.KindNone; return c }(),
-		"original": DefaultConfig(),
-		"precise":  func() Config { c := DefaultConfig(); c.Runahead.Kind = runahead.KindPrecise; return c }(),
-		"vector":   func() Config { c := DefaultConfig(); c.Runahead.Kind = runahead.KindVector; return c }(),
-		"secure":   func() Config { c := DefaultConfig(); c.Secure.Enabled = true; return c }(),
+	kind := func(k runahead.Kind) Config { c := DefaultConfig(); c.Runahead.Kind = k; return c }
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"baseline", kind(runahead.KindNone)},
+		{"original", DefaultConfig()},
+		{"precise", kind(runahead.KindPrecise)},
+		{"vector", kind(runahead.KindVector)},
+		{"secure", func() Config { c := DefaultConfig(); c.Secure.Enabled = true; return c }()},
+		{"skip-inv", func() Config { c := DefaultConfig(); c.Runahead.SkipINVBranch = true; return c }()},
+		// The BTB PoC's partial-tag geometry (attack.ConfigFor): a second
+		// machine shape.
+		{"btb", func() Config { c := DefaultConfig(); c.Branch.BTBTagBits = 4; return c }()},
 	}
 	progA := proggen.Generate(11, proggen.DefaultOptions())
 	progB := proggen.Generate(12, proggen.DefaultOptions())
-	for name, cfg := range cfgs {
-		t.Run(name, func(t *testing.T) {
-			fresh := New(cfg, progB)
-			if err := fresh.Run(20_000_000); err != nil {
-				t.Fatalf("fresh run: %v", err)
-			}
-			reused := New(cfg, progA)
-			if err := reused.Run(20_000_000); err != nil {
-				t.Fatalf("first run: %v", err)
-			}
-			reused.Reset(progB)
-			if err := reused.Run(20_000_000); err != nil {
-				t.Fatalf("reused run: %v", err)
-			}
-			want, _ := json.Marshal(fresh.Stats())
-			got, _ := json.Marshal(reused.Stats())
-			if string(want) != string(got) {
-				t.Errorf("stats diverged after Reset:\nfresh:  %s\nreused: %s", want, got)
-			}
-			for i := 0; i < isa.NumIntRegs; i++ {
-				if fresh.IntReg(i) != reused.IntReg(i) {
-					t.Errorf("r%d = %#x, want %#x", i, reused.IntReg(i), fresh.IntReg(i))
-				}
-			}
-			if fresh.Cycle() != reused.Cycle() {
-				t.Errorf("cycle = %d, want %d", reused.Cycle(), fresh.Cycle())
+	for _, tc := range cfgs {
+		t.Run(tc.name, func(t *testing.T) {
+			want := runObserved(t, New(tc.cfg, progB))
+			for _, prev := range cfgs {
+				t.Run("after-"+prev.name, func(t *testing.T) {
+					m := Borrow(prev.cfg, progA)
+					if err := m.Run(20_000_000); err != nil {
+						t.Fatalf("first run: %v", err)
+					}
+					if shapeOf(prev.cfg) == shapeOf(tc.cfg) {
+						m.lend(tc.cfg, progB)
+					} else {
+						m.Release()
+						first := m
+						if m = Borrow(tc.cfg, progB); m == first {
+							t.Fatal("the pool lent a machine across shapes")
+						}
+					}
+					defer m.Release()
+					want.diff(t, runObserved(t, m))
+				})
 			}
 		})
+	}
+}
+
+// observedRun is everything a run exposes: statistics, committed state,
+// the commit stream, the data-side cache event stream and the final cache
+// contents.
+type observedRun struct {
+	stats     string
+	cycle     uint64
+	intRegs   [isa.NumIntRegs]uint64
+	commits   []CommitRecord
+	events    []mem.CacheEvent
+	caches    string
+	residency []lineResidency
+}
+
+// lineResidency is one line's presence and fill time in each cache level.
+type lineResidency struct {
+	line    uint64
+	present [4]bool
+	fill    [4]uint64
+}
+
+// runObserved runs c to HALT with a commit hook and a cache observer
+// installed, then records its final state.
+func runObserved(t *testing.T, c *CPU) observedRun {
+	t.Helper()
+	var r observedRun
+	c.SetCommitHook(func(rec CommitRecord) { r.commits = append(r.commits, rec) })
+	c.Hier().SetObserver(func(ev mem.CacheEvent) { r.events = append(r.events, ev) })
+	defer func() {
+		c.SetCommitHook(nil)
+		c.Hier().SetObserver(nil)
+	}()
+	if err := c.Run(20_000_000); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	st, _ := json.Marshal(c.Stats())
+	r.stats, r.cycle = string(st), c.Cycle()
+	for i := range r.intRegs {
+		r.intRegs[i] = c.IntReg(i)
+	}
+	l1i, l1d, l2, l3 := c.Hier().Caches()
+	levels := []*mem.Cache{l1i, l1d, l2, l3}
+	cs, _ := json.Marshal([]any{l1i.Stats, l1d.Stats, l2.Stats, l3.Stats, c.Hier().Stats})
+	r.caches = string(cs)
+	// Every line the run could have touched: its code and every line a
+	// data-side fill or eviction named.
+	var lines []uint64
+	for pc := c.prog.Base; pc < c.prog.Base+uint64(len(c.prog.Insts))*isa.InstBytes; pc += 64 {
+		lines = append(lines, c.Hier().LineAddr(pc))
+	}
+	for _, ev := range r.events {
+		lines = append(lines, ev.Line)
+	}
+	for _, line := range lines {
+		lr := lineResidency{line: line}
+		for i, lv := range levels {
+			lr.present[i], lr.fill[i] = lv.ProbeReady(line)
+		}
+		r.residency = append(r.residency, lr)
+	}
+	return r
+}
+
+// diff reports every way got departs from the fresh machine's run r.
+func (r observedRun) diff(t *testing.T, got observedRun) {
+	t.Helper()
+	if got.stats != r.stats {
+		t.Errorf("stats diverged:\nfresh:  %s\nreused: %s", r.stats, got.stats)
+	}
+	if got.cycle != r.cycle {
+		t.Errorf("cycle = %d, want %d", got.cycle, r.cycle)
+	}
+	if got.intRegs != r.intRegs {
+		t.Errorf("integer registers diverged:\nfresh:  %x\nreused: %x", r.intRegs, got.intRegs)
+	}
+	if !slices.Equal(got.commits, r.commits) {
+		t.Errorf("commit stream diverged (%d vs %d records)", len(got.commits), len(r.commits))
+	}
+	if !slices.Equal(got.events, r.events) {
+		t.Errorf("cache event stream diverged (%d vs %d events)", len(got.events), len(r.events))
+	}
+	if got.caches != r.caches {
+		t.Errorf("cache statistics diverged:\nfresh:  %s\nreused: %s", r.caches, got.caches)
+	}
+	if !slices.Equal(got.residency, r.residency) {
+		t.Error("final cache contents diverged")
 	}
 }
 

@@ -187,10 +187,16 @@ func (c *CPU) retire(u *uop, now uint64) {
 		c.bp.CommitRet()
 	}
 
-	// Learning structures for the precise and vector runahead variants.
-	c.rdt.ObserveCommit(u.pc, u.inst)
-	if pd.Kind == isa.KindLoad && u.addrValid {
-		c.strides.Observe(u.pc, u.addr)
+	// Learning structures, fed only under the variant that reads them:
+	// precise runahead's dispatch filter and vector runahead's lane
+	// prefetcher.
+	switch c.cfg.Runahead.Kind {
+	case runahead.KindPrecise:
+		c.rdt.ObserveCommit(u.pc, u.inst)
+	case runahead.KindVector:
+		if pd.Kind == isa.KindLoad && u.addrValid {
+			c.strides.Observe(u.pc, u.addr)
+		}
 	}
 
 	if c.commitFn != nil {

@@ -303,6 +303,10 @@ type CPU struct {
 	traceFn     func(TraceEvent)
 	commitFn    func(CommitRecord)
 	obsFn       func(Observation)
+
+	// home is the shape pool a borrowed machine returns to (nil for a
+	// machine built by New; see Borrow).
+	home *shapePool
 }
 
 // New builds a CPU running prog.  The program's data segments are loaded

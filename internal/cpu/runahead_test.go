@@ -5,6 +5,7 @@ import (
 
 	"specrun/internal/asm"
 	"specrun/internal/isa"
+	"specrun/internal/proggen"
 	"specrun/internal/runahead"
 )
 
@@ -228,5 +229,37 @@ func TestRunaheadStatsConsistent(t *testing.T) {
 	}
 	if c.Mode() != ModeNormal {
 		t.Fatal("machine stuck in runahead")
+	}
+}
+
+// Runahead learning is fed only under the variant that reads it: the RDT
+// under precise runahead (the dispatch-time slice filter) and the stride
+// detector under vector runahead (the lane prefetcher).  Every other
+// machine leaves both tables empty.
+func TestRunaheadLearningGatedByVariant(t *testing.T) {
+	prog := proggen.Generate(21, proggen.DefaultOptions())
+	kind := func(k runahead.Kind) Config { c := DefaultConfig(); c.Runahead.Kind = k; return c }
+	for _, tc := range []struct {
+		name         string
+		cfg          Config
+		rdt, strides bool
+	}{
+		{"none", kind(runahead.KindNone), false, false},
+		{"original", DefaultConfig(), false, false},
+		{"secure", func() Config { c := DefaultConfig(); c.Secure.Enabled = true; return c }(), false, false},
+		{"skip-inv", func() Config { c := DefaultConfig(); c.Runahead.SkipINVBranch = true; return c }(), false, false},
+		{"precise", kind(runahead.KindPrecise), true, false},
+		{"vector", kind(runahead.KindVector), false, true},
+	} {
+		c := New(tc.cfg, prog)
+		if err := c.Run(20_000_000); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := c.rdt.Len() > 0; got != tc.rdt {
+			t.Errorf("%s: RDT holds %d slice PCs, want entries: %v", tc.name, c.rdt.Len(), tc.rdt)
+		}
+		if got := c.strides.Len() > 0; got != tc.strides {
+			t.Errorf("%s: stride table holds %d loads, want entries: %v", tc.name, c.strides.Len(), tc.strides)
+		}
 	}
 }

@@ -69,7 +69,8 @@ func TestParseRegRoundTrip(t *testing.T) {
 	if r, err := ParseReg("sp"); err != nil || r != SP {
 		t.Errorf("ParseReg(sp) = %v, %v", r, err)
 	}
-	for _, bad := range []string{"", "x1", "r", "r99", "f16", "v16", "r-1"} {
+	for _, bad := range []string{"", "x1", "r", "r99", "f16", "v16", "r-1",
+		"r1x", "r+1", "r 1", "r1.5", "f3junk", "r01", "r00", "r257", "r99999999999999999999"} {
 		if _, err := ParseReg(bad); err == nil {
 			t.Errorf("ParseReg(%q) succeeded, want error", bad)
 		}

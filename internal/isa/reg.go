@@ -108,17 +108,23 @@ func (r Reg) String() string {
 	}
 }
 
-// ParseReg parses a register name such as "r12", "f3" or "v0".
+// ParseReg parses a register name such as "r12", "f3" or "v0": "sp", or
+// r, f or v followed by a decimal index with no sign and no leading zero.
 func ParseReg(s string) (Reg, error) {
 	if s == "sp" {
 		return SP, nil
 	}
-	if len(s) < 2 {
+	if len(s) < 2 || (s[1] == '0' && len(s) > 2) {
 		return NoReg, fmt.Errorf("isa: invalid register %q", s)
 	}
-	var n int
-	if _, err := fmt.Sscanf(s[1:], "%d", &n); err != nil || n < 0 {
-		return NoReg, fmt.Errorf("isa: invalid register %q", s)
+	n := 0
+	for _, ch := range []byte(s[1:]) {
+		if ch < '0' || ch > '9' {
+			return NoReg, fmt.Errorf("isa: invalid register %q", s)
+		}
+		if n <= 0xff { // beyond the 8-bit index: out of range, stop growing
+			n = n*10 + int(ch-'0')
+		}
 	}
 	var r Reg
 	switch s[0] {
@@ -131,7 +137,7 @@ func ParseReg(s string) (Reg, error) {
 	default:
 		return NoReg, fmt.Errorf("isa: invalid register %q", s)
 	}
-	if !r.Valid() {
+	if n > 0xff || !r.Valid() {
 		return NoReg, fmt.Errorf("isa: register %q out of range", s)
 	}
 	return r, nil

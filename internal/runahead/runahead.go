@@ -102,20 +102,51 @@ func DefaultConfig() Config {
 // PC is already in a slice marks the producers of its own sources.  Over a
 // few loop iterations this transitively closes over the address back-slice.
 type RDT struct {
-	slice      map[uint64]bool
-	lastWriter map[isa.Reg]uint64 // arch reg -> PC of the most recent committed writer
+	slice map[uint64]bool
+	// The PC of the most recent committed writer of each architectural
+	// register, one array per register file like the CPU's RAT.
+	intw [isa.NumIntRegs]lastWriter
+	fpw  [isa.NumFPRegs]lastWriter
+	vecw [isa.NumVecRegs]lastWriter
+}
+
+// lastWriter is one register's slot in the RDT; ok marks it as written.
+type lastWriter struct {
+	pc uint64
+	ok bool
 }
 
 // NewRDT returns an empty table.
 func NewRDT() *RDT {
-	return &RDT{slice: make(map[uint64]bool), lastWriter: make(map[isa.Reg]uint64)}
+	return &RDT{slice: make(map[uint64]bool)}
 }
 
-// Reset empties the table (machine reuse).  The map storage is retained, so
-// re-learning a program of similar shape allocates nothing.
+// Reset empties the table (machine reuse).  The slice map's storage is
+// retained, so re-learning a program of similar shape allocates nothing.
 func (r *RDT) Reset() {
 	clear(r.slice)
-	clear(r.lastWriter)
+	*r = RDT{slice: r.slice}
+}
+
+// writer returns reg's last-writer slot, or nil for a register outside the
+// architectural files.
+func (r *RDT) writer(reg isa.Reg) *lastWriter {
+	i := reg.Idx()
+	switch reg.Class() {
+	case isa.ClassInt:
+		if i < len(r.intw) {
+			return &r.intw[i]
+		}
+	case isa.ClassFP:
+		if i < len(r.fpw) {
+			return &r.fpw[i]
+		}
+	case isa.ClassVec:
+		if i < len(r.vecw) {
+			return &r.vecw[i]
+		}
+	}
+	return nil
 }
 
 // InSlice reports whether the instruction at pc belongs to a stall slice.
@@ -140,17 +171,19 @@ func (r *RDT) ObserveCommit(pc uint64, in isa.Inst) {
 			r.markProducer(s)
 		}
 	}
-	if d := in.Dest(); d != isa.NoReg && !d.IsZero() {
-		r.lastWriter[d] = pc
+	if d := in.Dest(); !d.IsZero() {
+		if w := r.writer(d); w != nil {
+			*w = lastWriter{pc: pc, ok: true}
+		}
 	}
 }
 
 func (r *RDT) markProducer(reg isa.Reg) {
-	if reg == isa.NoReg || reg.IsZero() {
+	if reg.IsZero() {
 		return
 	}
-	if pc, ok := r.lastWriter[reg]; ok {
-		r.slice[pc] = true
+	if w := r.writer(reg); w != nil && w.ok {
+		r.slice[w.pc] = true
 	}
 }
 
@@ -176,6 +209,9 @@ func NewStrideDetector() *StrideDetector {
 func (d *StrideDetector) Reset() {
 	clear(d.m)
 }
+
+// Len reports the number of load PCs with a stride entry.
+func (d *StrideDetector) Len() int { return len(d.m) }
 
 // confThreshold is the number of consecutive identical strides required
 // before Predict reports confidence.

@@ -117,3 +117,34 @@ func TestDefaultConfig(t *testing.T) {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
 }
+
+// Reset forgets every learned writer along with the slice, and re-learning
+// after Reset allocates nothing: a load right after Reset marks no producer
+// until its address register is written again.
+func TestRDTResetForgetsWriters(t *testing.T) {
+	r := NewRDT()
+	addr := isa.Inst{Op: isa.ADDI, Rd: isa.R(2), Rs1: isa.R(1), Imm: 8}
+	fp := isa.Inst{Op: isa.FMOVI, Rd: isa.F(3), Imm: 1}
+	load := isa.Inst{Op: isa.LD, Rd: isa.R(6), Rs1: isa.R(2)}
+	r.ObserveCommit(96, fp)
+	r.ObserveCommit(100, addr)
+	r.ObserveCommit(104, load)
+	if !r.InSlice(100) || r.Len() != 1 {
+		t.Fatalf("before Reset: slice size %d, want {100}", r.Len())
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		r.Reset()
+		r.ObserveCommit(104, load)
+		if r.Len() != 0 {
+			t.Fatalf("a writer learned before Reset marked a slice member")
+		}
+		r.ObserveCommit(100, addr)
+		r.ObserveCommit(104, load)
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset + re-learning allocates %.1f times, want 0", allocs)
+	}
+	if !r.InSlice(100) {
+		t.Fatal("re-learning after Reset lost the address producer")
+	}
+}

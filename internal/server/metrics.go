@@ -172,7 +172,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Simulations that built a machine from scratch.",
 		func() uint64 { return core.MachinePoolStats().Misses })
 	r.CounterFunc("specrun_machine_pool_evictions_total",
-		"Per-configuration machine pools dropped by the LRU bound.",
+		"Per-shape machine pools dropped by the LRU bound.",
 		func() uint64 { return core.MachinePoolStats().Evictions })
 	r.CounterFunc("specrun_difftest_runner_evictions_total",
 		"Differential-oracle worker-cache machines dropped.",

@@ -648,16 +648,18 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// MachinePoolStats reports reusable-machine retention: core's per-config
-// pool LRU and the differential engine's per-worker machine caches.  Both
+// MachinePoolStats reports reusable-machine retention: the CPU model's
+// per-shape pool LRU (a shape is a configuration minus the runahead kind,
+// skip-INV and secure switches, which a lent machine takes on without a
+// rebuild) and the differential engine's per-worker machine caches.  Both
 // are bounded; the eviction counters tell an operator whether a long-lived
-// server is cycling through more configurations than the bounds hold.
+// server is cycling through more shapes than the bounds hold.
 type MachinePoolStats struct {
-	Configs          int    `json:"configs"`               // configurations with a live core pool
-	Capacity         int    `json:"capacity"`              // core pool LRU bound
-	Evictions        uint64 `json:"evictions"`             // core config pools dropped
-	Hits             uint64 `json:"hits"`                  // jobs that recycled a warm machine
-	Misses           uint64 `json:"misses"`                // jobs that built a machine from scratch
+	Configs          int    `json:"configs"`               // machine shapes with a live pool
+	Capacity         int    `json:"capacity"`              // shape pool LRU bound
+	Evictions        uint64 `json:"evictions"`             // shape pools dropped
+	Hits             uint64 `json:"hits"`                  // runs that borrowed a warm machine
+	Misses           uint64 `json:"misses"`                // runs that built a machine from scratch
 	RunnerEvictions  uint64 `json:"runner_evictions"`      // difftest worker-cache machines dropped
 	RunnerCapPerSlot int    `json:"runner_cap_per_worker"` // difftest per-worker machine bound
 }

@@ -2,8 +2,8 @@
 // driver in the SPECRUN reproduction.
 //
 // The paper's evaluation is a pile of independent simulations: each point
-// of Fig. 7 is one (kernel, runahead-kind) pair on a fresh machine, each
-// row of the §4.3/§4.4 applicability matrix is one (Spectre-variant or
+// of Fig. 7 is one (kernel, runahead-kind) pair on a Reset pooled machine,
+// each row of the §4.3/§4.4 applicability matrix is one (Spectre-variant or
 // runahead-variant) PoC run, each Fig. 10 bar is one window scenario, and
 // the §6 defense comparison is three attack runs against three machine
 // configurations.  The seed repository executed them strictly serially;

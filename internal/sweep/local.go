@@ -3,8 +3,8 @@ package sweep
 import "sync"
 
 // Local hands out per-worker scratch state for sweep jobs — typically a
-// reusable simulator (see core.Machine.Reset and the difftest machine
-// cache).  Jobs call Get at entry and Put on exit; with N workers at most N
+// reusable simulator harness (the difftest and leak runner caches).  Jobs
+// call Get at entry and Put on exit; with N workers at most N
 // values are ever live, so an expensive-to-build value (a machine with its
 // caches, predictor tables and uop pool) is constructed roughly once per
 // worker instead of once per job.
