@@ -8,7 +8,6 @@ import (
 
 	"specrun/internal/attack"
 	"specrun/internal/core"
-	"specrun/internal/sweep"
 )
 
 // Driver is one paper experiment exposed at POST /v1/run/{name} and behind
@@ -46,15 +45,13 @@ type LeakResponse struct {
 }
 
 // runOne executes a single PoC simulation under the server-wide worker
-// budget; single runs bypass the sweep engine, so they acquire the context
-// gate themselves.
+// budget (see holdGate).
 func runOne(ctx context.Context, cfg core.Config, p attack.Params) (core.AttackResult, error) {
-	if g := sweep.GateFrom(ctx); g != nil {
-		if err := g.Acquire(ctx); err != nil {
-			return core.AttackResult{}, err
-		}
-		defer g.Release()
+	release, err := holdGate(ctx)
+	if err != nil {
+		return core.AttackResult{}, err
 	}
+	defer release()
 	return core.RunAttack(cfg, p)
 }
 
@@ -127,9 +124,9 @@ func DriverByName(name string) (Driver, bool) {
 	return Driver{}, false
 }
 
-// Run executes the named driver.  Shared by the HTTP handlers, the async
-// job runner and the CLI's --format json, so every consumer produces the
-// same result values (and, through [Encode], the same bytes).
+// Run executes the named driver: the call a driver task makes on both
+// server paths, shared with the CLI's --format json, so every consumer
+// produces the same result values (and, through [Encode], the same bytes).
 func Run(ctx context.Context, driver string, cfg core.Config, p attack.Params, workers int) (any, error) {
 	d, ok := DriverByName(driver)
 	if !ok {
@@ -138,13 +135,30 @@ func Run(ctx context.Context, driver string, cfg core.Config, p attack.Params, w
 	return d.run(ctx, cfg, p, workers)
 }
 
-// cacheKey derives the content-addressed key for one driver invocation.
-// Worker counts are deliberately excluded: results are worker-invariant.
-func (d Driver) cacheKey(cfg core.Config, p attack.Params) (string, error) {
-	if d.UsesParams {
-		return core.HashKey(d.Name, core.Normalize(cfg), p)
+// driverTask builds the task for one driver invocation.  Its key hashes the
+// config, plus the params for drivers that use them; worker counts are
+// deliberately excluded, since results are worker-invariant.  A driver
+// job's progress goes from 0/1 to 1/1.
+func driverTask(d Driver, req RunRequest) (task, error) {
+	cfg, p, err := req.resolve()
+	if err != nil {
+		return task{}, err
 	}
-	return core.HashKey(d.Name, core.Normalize(cfg))
+	keyParts := []any{core.Normalize(cfg)}
+	if d.UsesParams {
+		keyParts = append(keyParts, p)
+	}
+	key, err := core.HashKey(d.Name, keyParts...)
+	if err != nil {
+		return task{}, fmt.Errorf("cache key: %w", err)
+	}
+	return task{kind: d.Name, key: key, run: func(ctx context.Context, _ func(done, total int)) (any, error) {
+		res, err := d.run(ctx, cfg, p, req.Workers)
+		if err != nil {
+			return nil, err // fig11 and defense return a typed zero value with their error
+		}
+		return res, nil
+	}}, nil
 }
 
 // RunRequest is the body of POST /v1/run/{driver} (and, embedded, of

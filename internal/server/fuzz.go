@@ -53,83 +53,37 @@ func runCampaign(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Opti
 	return rep, rep.Configs, err
 }
 
-// handleFuzz serves POST /v1/run/fuzz.  Campaign reports are deterministic
+// fuzzTask builds the task for a campaign.  Reports are deterministic
 // functions of their spec, so they cache content-addressed exactly like the
-// figure drivers.
+// figure drivers; the worker count never reaches the key.  Progress counts
+// seeds.
+func fuzzTask(req FuzzRequest) (task, error) {
+	spec, err := req.resolve()
+	if err != nil {
+		return task{}, err
+	}
+	key, err := core.HashKey("fuzz", spec)
+	if err != nil {
+		return task{}, fmt.Errorf("cache key: %w", err)
+	}
+	return task{kind: "fuzz", key: key, run: func(ctx context.Context, progress func(done, total int)) (any, error) {
+		rep, configs, err := runCampaign(ctx, spec, sweep.Options{Workers: req.Workers, OnProgress: progress})
+		// A cancelled campaign still carries the findings of the seeds it
+		// ran: the job keeps them as a partial report.
+		if err != nil && (configs == 0 || !errors.Is(err, context.Canceled)) {
+			return nil, err
+		}
+		return rep, err
+	}}, nil
+}
+
+// handleFuzz serves POST /v1/run/fuzz.
 func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 	var req FuzzRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	spec, err := req.resolve()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := core.HashKey("fuzz", spec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "cache key: %v", err)
-		return
-	}
-	body, hit, err := s.cache.Do(r.Context(), key, func() ([]byte, error) {
-		s.simulations.Add(1)
-		rep, _, runErr := runCampaign(s.simCtx(), spec, sweep.Options{Workers: req.Workers})
-		if runErr != nil {
-			// A cancelled campaign holds partial rows — transient state that
-			// must not become the permanent entry for this key.
-			return nil, runErr
-		}
-		return Encode(rep)
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "fuzz: %v", err)
-		return
-	}
-	writeBody(w, body, hit)
-}
-
-// runFuzzJob executes a campaign asynchronously with per-seed progress,
-// sharing the result cache with the synchronous endpoint.
-func (s *Server) runFuzzJob(ctx context.Context, id string, attempt int, req FuzzRequest) {
-	spec, err := req.resolve()
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
-	}
-	key, err := core.HashKey("fuzz", spec)
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
-	}
-	if body, ok := s.cache.Get(key); ok {
-		s.jobs.finish(id, attempt, key, body, "", false)
-		return
-	}
-	s.simulations.Add(1)
-	rep, configs, runErr := runCampaign(sweep.WithGate(ctx, s.gate), spec, sweep.Options{
-		Workers:    req.Workers,
-		OnProgress: func(done, total int) { s.jobs.progress(id, attempt, done, total) },
-	})
-	if runErr != nil {
-		cancelled := errors.Is(runErr, context.Canceled)
-		// A cancelled campaign still carries the findings found so far —
-		// store the partial report on the job (like cancelled sweeps do)
-		// without letting it become the permanent cache entry.
-		if cancelled && configs > 0 {
-			if body, encErr := Encode(rep); encErr == nil {
-				s.jobs.finish(id, attempt, "", body, "", true)
-				return
-			}
-		}
-		s.jobs.finish(id, attempt, "", nil, runErr.Error(), cancelled)
-		return
-	}
-	body, err := Encode(rep)
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
-	}
-	s.cache.Add(key, body)
-	s.jobs.finish(id, attempt, key, body, "", false)
+	t, err := fuzzTask(req)
+	s.serveTask(w, r, t, err)
 }

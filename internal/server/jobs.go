@@ -24,7 +24,9 @@ const (
 	JobCancelled = "cancelled"
 )
 
-// JobProgress counts completed grid points (total = 1 for driver jobs).
+// JobProgress counts a job's completed work in its kind's unit: grid
+// points for a sweep, seeds for a campaign, megacycles for a program; a
+// driver job goes from 0/1 to 1/1.
 type JobProgress struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`
@@ -33,7 +35,7 @@ type JobProgress struct {
 // JobView is the wire form of a job (POST /v1/jobs, GET /v1/jobs/{id}).
 type JobView struct {
 	ID              string          `json:"id"`
-	Kind            string          `json:"kind"` // driver name, or "sweep"
+	Kind            string          `json:"kind"` // driver name, "sweep", "fuzz" (difftest and leak campaigns) or "program"
 	Status          string          `json:"status"`
 	Progress        JobProgress     `json:"progress"`
 	Attempts        int             `json:"attempts,omitempty"` // execution leases taken so far
@@ -219,10 +221,10 @@ type jobStore struct {
 
 	// logger receives job lifecycle transitions; onTerminal fires exactly
 	// once per job, at the moment it reaches a terminal state (the server
-	// feeds the specrun_jobs_total metric through it).  Both are set at
-	// server construction, before any job exists.
+	// feeds the specrun_jobs_total and program-submission metrics through
+	// it).  Both are set at server construction, before any job exists.
 	logger     *slog.Logger
-	onTerminal func(kind, status string)
+	onTerminal func(kind, status string, req JobRequest)
 }
 
 func newJobStore() *jobStore {
@@ -246,7 +248,7 @@ func (s *jobStore) terminal(j *job) {
 		"duration_ms", float64(j.finished.Sub(j.submitted).Microseconds())/1000,
 	)
 	if s.onTerminal != nil {
-		s.onTerminal(j.kind, j.status)
+		s.onTerminal(j.kind, j.status, j.req)
 	}
 }
 

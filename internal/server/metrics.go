@@ -42,7 +42,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Async jobs that reached a terminal state, by driver kind and outcome.",
 			"kind", "status"),
 		programSubs: r.NewCounterVec("specrun_program_submissions_total",
-			"Interchange programs submitted (POST /v1/run/program and program jobs), by input format (asm/binary) and outcome (ok/invalid/error).",
+			"Interchange programs submitted (POST /v1/run/program and program jobs), by input format (asm/binary) and outcome (ok/invalid/error); a request counts at its response, a job when it reaches a terminal state.",
 			"format", "outcome"),
 		gateWait: r.NewHistogram("specrun_gate_wait_seconds",
 			"Time simulations spent queued for a worker token (uncontended acquires are not observed).",
@@ -50,7 +50,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 
 	r.CounterFunc("specrun_simulations_total",
-		"Driver/sweep executions actually run (cache misses).",
+		"Tasks actually run (cache misses): drivers, sweeps, campaigns and programs.",
 		s.simulations.Load)
 	r.CounterFunc("specrun_http_requests_served_total",
 		"All HTTP requests, including unrouted 404s.",

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -12,7 +11,6 @@ import (
 	"specrun/internal/core"
 	"specrun/internal/cpu"
 	"specrun/internal/prog"
-	"specrun/internal/sweep"
 )
 
 // maxProgramCycles bounds the per-request cycle budget a submitted program
@@ -48,7 +46,15 @@ type resolvedProgram struct {
 	prog   *asm.Program
 	bin    []byte
 	budget uint64
-	format string // submission format, for the metrics label: "asm" or "binary"
+}
+
+// format is the submission format, for the metrics label: "asm" or
+// "binary".
+func (r ProgramRequest) format() string {
+	if r.Asm != "" {
+		return "asm"
+	}
+	return "binary"
 }
 
 // resolve validates a submission.  Whatever the input form, the program is
@@ -56,10 +62,7 @@ type resolvedProgram struct {
 // (instruction/data/symbol bounds, canonical instructions) apply uniformly
 // and the cache key depends only on program identity.
 func (r ProgramRequest) resolve() (resolvedProgram, error) {
-	out := resolvedProgram{format: "binary"}
-	if r.Asm != "" {
-		out.format = "asm"
-	}
+	var out resolvedProgram
 	switch {
 	case r.Asm == "" && len(r.Binary) == 0:
 		return out, fmt.Errorf("program: one of asm or binary is required")
@@ -106,35 +109,47 @@ func (r ProgramRequest) resolve() (resolvedProgram, error) {
 	return out, nil
 }
 
-// cacheKey content-addresses the run by the canonical program bytes — not
-// the Go structs and not the submission format — so identical programs
-// submitted as asm and as binary coalesce onto one cache entry.
-func (rp resolvedProgram) cacheKey() (string, error) {
-	return core.HashKey("program", rp.bin, core.Normalize(rp.cfg), rp.budget)
-}
-
-// runProgram executes a resolved submission under the server-wide worker
-// budget; like other single-simulation paths it bypasses the sweep engine
-// and acquires the context gate itself.
-func (s *Server) runProgram(ctx context.Context, rp resolvedProgram, onProgress func(cycles, budget uint64)) (ProgramResponse, error) {
-	if g := sweep.GateFrom(ctx); g != nil {
-		if err := g.Acquire(ctx); err != nil {
-			return ProgramResponse{}, err
-		}
-		defer g.Release()
-	}
-	st, err := core.RunProgramStatsCtx(ctx, rp.cfg, rp.prog, rp.budget, onProgress)
+// programTask builds the task for a program submission.  The key
+// content-addresses the run by the canonical program bytes — not the Go
+// structs and not the submission format — so identical programs submitted
+// as asm and as binary coalesce onto one cache entry.  Progress counts
+// megacycles, starting from the 0/budget a job announces.
+func programTask(req ProgramRequest) (task, error) {
+	rp, err := req.resolve()
 	if err != nil {
-		return ProgramResponse{}, err
+		return task{}, err
 	}
-	return ProgramResponse{
-		Sprog: prog.Hash(rp.bin),
-		Insts: len(rp.prog.Insts),
-		Base:  rp.prog.Base,
-		Stats: st,
-	}, nil
+	key, err := core.HashKey("program", rp.bin, core.Normalize(rp.cfg), rp.budget)
+	if err != nil {
+		return task{}, fmt.Errorf("cache key: %w", err)
+	}
+	const mega = 1_000_000
+	run := func(ctx context.Context, progress func(done, total int)) (any, error) {
+		var onProgress func(cycles, budget uint64)
+		if progress != nil {
+			onProgress = func(cycles, budget uint64) { progress(int(cycles/mega), int(budget/mega)) }
+		}
+		release, err := holdGate(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		st, err := core.RunProgramStatsCtx(ctx, rp.cfg, rp.prog, rp.budget, onProgress)
+		if err != nil {
+			return nil, err
+		}
+		return ProgramResponse{
+			Sprog: prog.Hash(rp.bin),
+			Insts: len(rp.prog.Insts),
+			Base:  rp.prog.Base,
+			Stats: st,
+		}, nil
+	}
+	return task{kind: "program", key: key, begin: &JobProgress{Total: int(rp.budget / mega)}, run: run}, nil
 }
 
+// handleRunProgram serves POST /v1/run/program, counting the submission
+// once, by format and outcome, at its response.
 func (s *Server) handleRunProgram(w http.ResponseWriter, r *http.Request) {
 	var req ProgramRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -142,67 +157,8 @@ func (s *Server) handleRunProgram(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	rp, err := req.resolve()
-	if err != nil {
-		s.metrics.programSubs.With(rp.format, "invalid").Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := rp.cacheKey()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "cache key: %v", err)
-		return
-	}
-	body, hit, err := s.cache.Do(r.Context(), key, func() ([]byte, error) {
-		s.simulations.Add(1)
-		res, err := s.runProgram(s.simCtx(), rp, nil)
-		if err != nil {
-			return nil, err
-		}
-		return Encode(res)
-	})
-	if err != nil {
-		s.metrics.programSubs.With(rp.format, "error").Inc()
-		writeError(w, http.StatusInternalServerError, "program: %v", err)
-		return
-	}
-	s.metrics.programSubs.With(rp.format, "ok").Inc()
-	writeBody(w, body, hit)
-}
-
-// runProgramJob executes a program submission asynchronously with
-// megacycle-granularity progress (the SSE stream's event source), sharing
-// the result cache with the synchronous endpoint.
-func (s *Server) runProgramJob(ctx context.Context, id string, attempt int, rp resolvedProgram) {
-	const mega = 1_000_000
-	key, err := rp.cacheKey()
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
-	}
-	s.jobs.progress(id, attempt, 0, int(rp.budget/mega))
-	if body, ok := s.cache.Get(key); ok {
-		s.metrics.programSubs.With(rp.format, "ok").Inc()
-		s.jobs.finish(id, attempt, key, body, "", false)
-		return
-	}
-	s.simulations.Add(1)
-	res, err := s.runProgram(sweep.WithGate(ctx, s.gate), rp, func(cycles, budget uint64) {
-		s.jobs.progress(id, attempt, int(cycles/mega), int(budget/mega))
-	})
-	if err != nil {
-		s.metrics.programSubs.With(rp.format, "error").Inc()
-		s.jobs.finish(id, attempt, "", nil, err.Error(), errors.Is(err, context.Canceled))
-		return
-	}
-	body, err := Encode(res)
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
-	}
-	s.cache.Add(key, body)
-	s.metrics.programSubs.With(rp.format, "ok").Inc()
-	s.jobs.finish(id, attempt, key, body, "", false)
+	t, err := programTask(req)
+	s.metrics.programSubs.With(req.format(), s.serveTask(w, r, t, err)).Inc()
 }
 
 // handleJobEvents streams a job's lifecycle as Server-Sent Events

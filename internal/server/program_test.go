@@ -238,9 +238,10 @@ func TestJobEventsTerminalAndUnknown(t *testing.T) {
 }
 
 // Program submissions surface in the metrics endpoint by format and outcome,
-// and the SSE gauge family is registered.
+// each counted once — a job that fails all its attempts is one error — and
+// the SSE gauge family is registered.
 func TestProgramMetrics(t *testing.T) {
-	_, ts := newTestServer(t)
+	_, ts := newTestServerOpts(t, Options{Retry: RetryPolicy{BaseDelay: time.Millisecond}, SchedInterval: 10 * time.Millisecond})
 
 	reqBody, _ := json.Marshal(map[string]any{"asm": testProgramSrc})
 	if code, _, body := do(t, "POST", ts.URL+"/v1/run/program", string(reqBody)); code != http.StatusOK {
@@ -248,10 +249,19 @@ func TestProgramMetrics(t *testing.T) {
 	}
 	do(t, "POST", ts.URL+"/v1/run/program", `{}`)
 
+	// A program that never halts runs out of its budget on every attempt.
+	looping := map[string]any{"asm": ".org 0x1000\nloop:\n    beq r0, r0, loop\n", "max_cycles": 1000}
+	jobBody, _ := json.Marshal(map[string]any{"program": looping})
+	id := submitJob(t, ts.URL, string(jobBody))
+	if v := pollJob(t, ts.URL, id); v.Status != JobFailed || v.Attempts != 3 {
+		t.Fatalf("looping program job: %s after %d attempts (%s), want failed after 3", v.Status, v.Attempts, v.Error)
+	}
+
 	_, _, metricsBody := do(t, "GET", ts.URL+"/metrics", "")
 	text := string(metricsBody)
 	for _, want := range []string{
 		`specrun_program_submissions_total{format="asm",outcome="ok"} 1`,
+		`specrun_program_submissions_total{format="asm",outcome="error"} 1`,
 		`specrun_program_submissions_total{format="binary",outcome="invalid"} 1`,
 		"specrun_sse_streams_active 0",
 	} {

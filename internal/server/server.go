@@ -13,6 +13,10 @@
 // execution flows through the sweep engine under one server-wide worker
 // budget (sweep.Gate) — N concurrent requests share a single worker pool
 // instead of oversubscribing the host.
+//
+// Every request kind — a driver, a sweep, a campaign or a program —
+// reduces to one task (task.go), which runs on exactly one synchronous path
+// (serveTask) or one job path (runJob).
 package server
 
 import (
@@ -90,7 +94,7 @@ type Server struct {
 	start   time.Time
 
 	requests    atomic.Uint64 // HTTP requests served
-	simulations atomic.Uint64 // driver/sweep executions actually run (cache misses)
+	simulations atomic.Uint64 // tasks of every kind actually run (cache misses)
 	sseActive   atomic.Int64  // open SSE event streams (GET /v1/jobs/{id}/events)
 }
 
@@ -116,8 +120,15 @@ func New(opts Options) *Server {
 	}
 	s.metrics = newServerMetrics(s)
 	s.jobs.logger = logger
-	s.jobs.onTerminal = func(kind, status string) {
+	s.jobs.onTerminal = func(kind, status string, req JobRequest) {
 		s.metrics.jobsTotal.With(kind, status).Inc()
+		if req.Program != nil {
+			outcome := "error"
+			if status == JobDone {
+				outcome = "ok"
+			}
+			s.metrics.programSubs.With(req.Program.format(), outcome).Inc()
+		}
 	}
 	s.jobs.policy = opts.Retry.withDefaults()
 	if opts.LeaseTTL > 0 {
@@ -230,30 +241,16 @@ func (s *Server) runAttempt(lj leasedJob) {
 	s.executeJob(ctx, lj)
 }
 
-// executeJob dispatches a normalized request (exactly one arm set — see
-// normalizeJob) to its runner.  Requests replayed from the journal take
-// this same path, so resume is ordinary execution.
+// executeJob builds the task for a normalized request and runs it on the
+// job path.  Requests replayed from the journal take this same path, so
+// resume is ordinary execution.
 func (s *Server) executeJob(ctx context.Context, lj leasedJob) {
-	switch {
-	case lj.req.Program != nil:
-		rp, err := lj.req.Program.resolve()
-		if err != nil {
-			s.jobs.finish(lj.id, lj.attempt, "", nil, err.Error(), false)
-			return
-		}
-		s.runProgramJob(ctx, lj.id, lj.attempt, rp)
-	case lj.req.Fuzz != nil:
-		s.runFuzzJob(ctx, lj.id, lj.attempt, *lj.req.Fuzz)
-	case lj.req.Sweep != nil:
-		s.runSweepJob(ctx, lj.id, lj.attempt, *lj.req.Sweep)
-	default:
-		d, ok := DriverByName(lj.req.Driver)
-		if !ok {
-			s.jobs.finish(lj.id, lj.attempt, "", nil, fmt.Sprintf("unknown driver %q", lj.req.Driver), false)
-			return
-		}
-		s.runDriverJob(ctx, lj.id, lj.attempt, d, lj.req.RunRequest)
+	t, err := jobTask(lj.req)
+	if err != nil {
+		s.jobs.finish(lj.id, lj.attempt, "", nil, err.Error(), false)
+		return
 	}
+	s.runJob(ctx, lj, t)
 }
 
 // Handler returns the routed HTTP handler.  Every route is mounted through
@@ -289,13 +286,6 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// simCtx is the context every computation runs under: rooted at the server
-// (so a dropped client never aborts a result other waiters share) and
-// carrying the worker budget.
-func (s *Server) simCtx() context.Context {
-	return sweep.WithGate(s.baseCtx, s.gate)
-}
-
 // --- run endpoints ---
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -309,29 +299,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	cfg, p, err := req.resolve()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	key, err := d.cacheKey(cfg, p)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "cache key: %v", err)
-		return
-	}
-	body, hit, err := s.cache.Do(r.Context(), key, func() ([]byte, error) {
-		s.simulations.Add(1)
-		res, err := d.run(s.simCtx(), cfg, p, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return Encode(res)
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%s: %v", d.Name, err)
-		return
-	}
-	writeBody(w, body, hit)
+	t, err := driverTask(d, req)
+	s.serveTask(w, r, t, err)
 }
 
 // --- sweep endpoint ---
@@ -342,41 +311,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	// Validate up front: a bad grid is a 400, and it must not count as (or
-	// coalesce with) a simulation.
-	if _, err := spec.withDefaults().axes(); err != nil {
-		writeError(w, http.StatusBadRequest, "sweep: %v", err)
-		return
-	}
-	// Workers tunes execution, not the result, so it never reaches the key;
-	// withDefaults makes explicit defaults and omitted fields hash alike.
-	keySpec := spec.withDefaults()
-	keySpec.Workers = 0
-	key, err := core.HashKey("sweep", keySpec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "cache key: %v", err)
-		return
-	}
-	body, hit, err := s.cache.Do(r.Context(), key, func() ([]byte, error) {
-		s.simulations.Add(1)
-		res, _, runErr := RunSweep(s.simCtx(), spec, sweep.Options{})
-		if res.Rows == nil {
-			return nil, runErr // validation failure
-		}
-		// A cancelled grid holds rows that never simulated — transient
-		// state that must not become the permanent entry for this key.
-		// Per-point simulation failures, by contrast, are deterministic
-		// and cache with the rest of the rows.
-		if errors.Is(runErr, context.Canceled) {
-			return nil, runErr
-		}
-		return Encode(res)
-	})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "sweep: %v", err)
-		return
-	}
-	writeBody(w, body, hit)
+	t, err := sweepTask(spec)
+	s.serveTask(w, r, t, err)
 }
 
 // --- async jobs ---
@@ -412,11 +348,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // (journaled when durable) and pumps the scheduler so the returned view
 // reflects the immediately-leased attempt.
 func (s *Server) startJob(req JobRequest) (JobView, error) {
-	kind, err := s.normalizeJob(&req)
+	t, err := s.normalizeJob(&req)
 	if err != nil {
 		return JobView{}, err
 	}
-	id := s.jobs.create(kind, req)
+	id := s.jobs.create(t.kind, req)
 	s.pump(time.Now())
 	view, _ := s.jobs.get(id)
 	return view, nil
@@ -425,34 +361,28 @@ func (s *Server) startJob(req JobRequest) (JobView, error) {
 // normalizeJob validates req and rewrites it into the canonical form the
 // journal persists and executeJob dispatches on — exactly one of
 // Program / Fuzz / Sweep / Driver populated, aliases and worker defaults
-// folded in — returning the job kind.  Validation happens here, before the
-// job is accepted, so a bad document 400s instead of surfacing as a failed
-// (and pointlessly retried) job.
-func (s *Server) normalizeJob(req *JobRequest) (string, error) {
-	if req.Program != nil || req.Driver == "program" {
+// folded in — and returns the task the synchronous route builds for the
+// same spec.  Validation happens here, before the job is accepted, so a
+// bad document 400s with the route's own message instead of surfacing as a
+// failed (and pointlessly retried) job.
+func (s *Server) normalizeJob(req *JobRequest) (task, error) {
+	switch {
+	case req.Program != nil || req.Driver == "program":
 		if req.Driver != "" && req.Driver != "program" {
-			return "", fmt.Errorf("job: driver %q conflicts with program spec", req.Driver)
+			return task{}, fmt.Errorf("job: driver %q conflicts with program spec", req.Driver)
 		}
 		if req.Sweep != nil || req.Fuzz != nil {
-			return "", fmt.Errorf("job: program and sweep/fuzz specs conflict")
+			return task{}, fmt.Errorf("job: program and sweep/fuzz specs conflict")
 		}
 		if req.Program == nil {
-			return "", fmt.Errorf("job: driver %q requires a program spec", req.Driver)
+			return task{}, fmt.Errorf("job: driver %q requires a program spec", req.Driver)
 		}
-		rp, err := req.Program.resolve()
-		if err != nil {
-			s.metrics.programSubs.With(rp.format, "invalid").Inc()
-			return "", err
-		}
-		req.Driver = ""
-		return "program", nil
-	}
-	if req.Fuzz != nil || req.Driver == "fuzz" || req.Driver == "leaks" {
+	case req.Fuzz != nil || req.Driver == "fuzz" || req.Driver == "leaks":
 		if req.Driver != "" && req.Driver != "fuzz" && req.Driver != "leaks" {
-			return "", fmt.Errorf("job: driver %q conflicts with fuzz spec", req.Driver)
+			return task{}, fmt.Errorf("job: driver %q conflicts with fuzz spec", req.Driver)
 		}
 		if req.Sweep != nil {
-			return "", fmt.Errorf("job: fuzz and sweep specs conflict")
+			return task{}, fmt.Errorf("job: fuzz and sweep specs conflict")
 		}
 		fz := FuzzRequest{}
 		if req.Fuzz != nil {
@@ -467,16 +397,10 @@ func (s *Server) normalizeJob(req *JobRequest) (string, error) {
 		if req.Driver == "leaks" {
 			fz.Leaks = true
 		}
-		if _, err := fz.resolve(); err != nil {
-			return "", err
-		}
 		req.Fuzz = &fz
-		req.Driver = ""
-		return "fuzz", nil
-	}
-	if req.Sweep != nil || req.Driver == "sweep" {
+	case req.Sweep != nil || req.Driver == "sweep":
 		if req.Driver != "" && req.Driver != "sweep" {
-			return "", fmt.Errorf("job: driver %q conflicts with sweep spec", req.Driver)
+			return task{}, fmt.Errorf("job: driver %q conflicts with sweep spec", req.Driver)
 		}
 		if req.Sweep == nil {
 			req.Sweep = &SweepSpec{}
@@ -486,95 +410,20 @@ func (s *Server) normalizeJob(req *JobRequest) (string, error) {
 		if req.Sweep.Workers == 0 {
 			req.Sweep.Workers = req.Workers
 		}
-		if _, err := req.Sweep.withDefaults().axes(); err != nil {
-			return "", err
-		}
-		req.Driver = ""
-		return "sweep", nil
+	default:
+		return jobTask(*req)
 	}
-	d, ok := DriverByName(req.Driver)
-	if !ok {
-		return "", fmt.Errorf("job: unknown driver %q", req.Driver)
+	// Config and params overlay a run driver's machine and attack; the
+	// other arms carry their own spec, so these fields would be ignored.
+	if len(req.Config) > 0 || len(req.Params) > 0 {
+		return task{}, fmt.Errorf("job: config and params apply only to run drivers")
 	}
-	return d.Name, nil
-}
-
-// runDriverJob executes one run driver asynchronously, sharing the result
-// cache with the synchronous endpoints: a cached result completes the job
-// instantly, a fresh one is stored for them.  It computes outside
-// rescache.Do so that cancelling this job never aborts a synchronous
-// request coalesced on the same key.
-func (s *Server) runDriverJob(ctx context.Context, id string, attempt int, d Driver, req RunRequest) {
-	cfg, p, err := req.resolve()
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
+	req.Driver = ""
+	t, err := jobTask(*req)
+	if err != nil && req.Program != nil {
+		s.metrics.programSubs.With(req.Program.format(), "invalid").Inc()
 	}
-	key, err := d.cacheKey(cfg, p)
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
-	}
-	if body, ok := s.cache.Get(key); ok {
-		s.jobs.finish(id, attempt, key, body, "", false)
-		return
-	}
-	s.simulations.Add(1)
-	res, err := d.run(sweep.WithGate(ctx, s.gate), cfg, p, req.Workers)
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), errors.Is(err, context.Canceled))
-		return
-	}
-	body, err := Encode(res)
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
-	}
-	s.cache.Add(key, body)
-	s.jobs.finish(id, attempt, key, body, "", false)
-}
-
-// runSweepJob executes a sweep asynchronously with live progress, sharing
-// the result cache with the synchronous endpoint: a restarted server serves
-// the same grid from disk instead of re-simulating it.
-func (s *Server) runSweepJob(ctx context.Context, id string, attempt int, spec SweepSpec) {
-	keySpec := spec.withDefaults()
-	keySpec.Workers = 0
-	key, err := core.HashKey("sweep", keySpec)
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
-	}
-	if body, ok := s.cache.Get(key); ok {
-		s.jobs.finish(id, attempt, key, body, "", false)
-		return
-	}
-	s.simulations.Add(1)
-	res, _, runErr := RunSweep(sweep.WithGate(ctx, s.gate), spec, sweep.Options{
-		OnProgress: func(done, total int) { s.jobs.progress(id, attempt, done, total) },
-	})
-	cancelled := errors.Is(runErr, context.Canceled)
-	if res.Rows == nil {
-		msg := ""
-		if runErr != nil {
-			msg = runErr.Error()
-		}
-		s.jobs.finish(id, attempt, "", nil, msg, cancelled)
-		return
-	}
-	body, err := Encode(res)
-	if err != nil {
-		s.jobs.finish(id, attempt, "", nil, err.Error(), false)
-		return
-	}
-	if cancelled {
-		// Partial rows attach to the job but never become the permanent
-		// cache entry for this key.
-		s.jobs.finish(id, attempt, "", body, "", true)
-		return
-	}
-	s.cache.Add(key, body)
-	s.jobs.finish(id, attempt, key, body, "", false)
+	return t, err
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -683,7 +532,7 @@ type StatsResponse struct {
 	Version       string           `json:"version"`
 	UptimeSeconds float64          `json:"uptime_seconds"`
 	Requests      uint64           `json:"requests"`
-	Simulations   uint64           `json:"simulations"` // driver/sweep executions actually run
+	Simulations   uint64           `json:"simulations"` // tasks of every kind actually run (cache misses)
 	SimCycles     uint64           `json:"sim_cycles"`  // processor cycles simulated, process-wide
 	Workers       int              `json:"workers"`     // server-wide simulation budget
 	Cache         rescache.Stats   `json:"cache"`

@@ -21,7 +21,13 @@ import (
 // newTestServer starts a fresh service over httptest.
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Options{})
+	return newTestServerOpts(t, Options{})
+}
+
+// newTestServerOpts starts a fresh service with opts over httptest.
+func newTestServerOpts(t *testing.T, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
+	s := New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -429,12 +435,29 @@ func TestJobCancel(t *testing.T) {
 		t.Fatalf("status after cancel = %s, want %s", final.Status, JobCancelled)
 	}
 
-	// Bad submissions are rejected synchronously.
-	if code, _, _ := do(t, "POST", ts.URL+"/v1/jobs", `{"driver": "nope"}`); code != http.StatusBadRequest {
-		t.Fatalf("unknown driver job: %d", code)
+	// Bad submissions are rejected synchronously, exactly where the
+	// synchronous route rejects the same spec, and create no job: a driver
+	// job's config and params are validated, and the other arms refuse the
+	// driver-only fields instead of ignoring them.
+	submitted := getStats(t, ts.URL).Jobs.Submitted
+	for _, body := range []string{
+		`{"driver": "nope"}`,
+		`{"sweep": {"mode": "bad"}}`,
+		`{"driver": "fig9", "config": {"rob_sz": 1}}`,
+		`{"driver": "fig9", "params": {"probe_stride": 3}}`,
+		`{"driver": "ipc", "config": {"rob_size": -4}}`,
+		`{"program": {"asm": "halt"}, "config": {"rob_sz": 1}}`,
+		`{"program": {"asm": "halt"}, "params": {"nop_pad": 1}}`,
+		`{"sweep": {"rob": [64]}, "config": {"rob_size": 128}}`,
+		`{"fuzz": {"seeds": 2}, "params": {}}`,
+		`{"driver": "leaks", "config": {"rob_size": 64}}`,
+	} {
+		if code, _, resp := do(t, "POST", ts.URL+"/v1/jobs", body); code != http.StatusBadRequest {
+			t.Fatalf("bad job %s: %d %s, want 400", body, code, resp)
+		}
 	}
-	if code, _, _ := do(t, "POST", ts.URL+"/v1/jobs", `{"sweep": {"mode": "bad"}}`); code != http.StatusBadRequest {
-		t.Fatalf("bad sweep job: %d", code)
+	if n := getStats(t, ts.URL).Jobs.Submitted; n != submitted {
+		t.Fatalf("rejected submissions created jobs: submitted %d -> %d", submitted, n)
 	}
 	if code, _, _ := do(t, "DELETE", ts.URL+"/v1/jobs/nope", ""); code != http.StatusNotFound {
 		t.Fatalf("cancel unknown job: %d", code)

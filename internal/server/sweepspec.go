@@ -148,6 +148,34 @@ func RunSweep(ctx context.Context, spec SweepSpec, opt sweep.Options) (SweepResu
 	return SweepResult{Cols: cols, Rows: mergeSweepRows(points, results, runErr)}, axes, runErr
 }
 
+// sweepTask builds the task for a sweep grid, validating every axis up
+// front so a bad grid is a 400 and never counts as (or coalesces with) a
+// simulation.  Workers tunes execution, not the result, so it never reaches
+// the key; withDefaults makes explicit defaults and omitted fields hash
+// alike.  Progress counts grid points.
+func sweepTask(spec SweepSpec) (task, error) {
+	keySpec := spec.withDefaults()
+	if _, err := keySpec.axes(); err != nil {
+		return task{}, err
+	}
+	keySpec.Workers = 0
+	key, err := core.HashKey("sweep", keySpec)
+	if err != nil {
+		return task{}, fmt.Errorf("cache key: %w", err)
+	}
+	return task{kind: "sweep", key: key, run: func(ctx context.Context, progress func(done, total int)) (any, error) {
+		res, _, err := RunSweep(ctx, spec, sweep.Options{OnProgress: progress})
+		if err != nil && ctx.Err() != nil {
+			// Stopped mid-grid: rows that never simulated are marked
+			// "cancelled", so the grid is only a partial result.
+			return res, ctx.Err()
+		}
+		// Per-point failures are deterministic: they sit in the rows'
+		// error column and cache with the rest of the grid.
+		return res, nil
+	}}, nil
+}
+
 // pointConfig builds the machine configuration for one grid point.
 func pointConfig(p sweep.Point, secure bool) (core.Config, error) {
 	cfg := core.DefaultConfig()
