@@ -17,10 +17,12 @@ import (
 	"specrun/internal/sweep"
 )
 
-// runFuzz implements `specrun fuzz`: a differential fuzzing campaign that
-// runs random proggen programs in lockstep on the reference interpreter and
-// the out-of-order pipeline across the runahead × secure × ROB matrix,
-// checking that speculation stays architecturally invisible.  Divergent
+// runFuzz implements `specrun fuzz`: a fuzzing campaign over random
+// proggen programs across the runahead × secure × ROB matrix.  By default
+// the differential oracle runs each program in lockstep on the reference
+// interpreter and the out-of-order pipeline, checking that speculation
+// stays architecturally invisible; --interleave hunts cross-run state
+// leaks and --leaks runs the microarchitectural leak oracle.  Failing
 // seeds are minimized into reproducers fit for a regression table.
 //
 //	specrun fuzz --seeds 2000 --matrix              full config matrix
@@ -54,13 +56,13 @@ func runFuzz(args []string) error {
 	if *matrix {
 		spec.Matrix = "full"
 	}
-	if spec.Leaks && spec.Interleave {
-		return fmt.Errorf("fuzz: --leaks and --interleave are mutually exclusive oracles")
+	// Resolve up front: duration mode advances SeedBase by spec.Seeds each
+	// round, which must be the effective count, not an unset zero (or
+	// every round would re-fuzz the same seed range).
+	spec, _, err := spec.Resolve()
+	if err != nil {
+		return err
 	}
-	// Resolve defaults up front: duration mode advances SeedBase by
-	// spec.Seeds each round, which must be the effective count, not an
-	// unset zero (or every round would re-fuzz the same seed range).
-	spec = spec.WithDefaults()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -72,36 +74,43 @@ func runFuzz(args []string) error {
 		}
 	}
 
+	// The engine-specific part: each oracle's report, its reproducers, its
+	// text rendering and what makes it unclean.  Leaks are findings, not
+	// failures — a leaky insecure configuration is the behaviour the paper
+	// documents — so a leak campaign fails only on oracle errors
+	// (run_error / seq_divergence).
+	var (
+		report  any
+		configs int
+		repros  []*difftest.Reproducer
+		render  func()
+		unclean error
+		runErr  error
+	)
 	if spec.Leaks {
-		return runLeakFuzz(ctx, spec, opt, *duration, *jsonOut, *quiet, *reproDir)
-	}
-
-	// Duration mode runs successive rounds over fresh seed ranges; a single
-	// round otherwise.  The merged report keeps per-round determinism: the
-	// same seed range always produces the same rows.  A cancelled campaign
-	// (Ctrl-C) still yields its partial report — divergences already found
-	// must reach the user, not die with the interrupt.
-	start := time.Now()
-	report, runErr := difftest.Run(ctx, spec, opt)
-	if !*quiet {
-		fmt.Fprintln(os.Stderr)
-	}
-	for runErr == nil && *duration > 0 && time.Since(start) < *duration && ctx.Err() == nil {
-		spec.SeedBase += int64(spec.Seeds)
-		var next difftest.Report
-		next, runErr = difftest.Run(ctx, spec, opt)
-		if !*quiet {
-			fmt.Fprintln(os.Stderr)
+		var r leak.Report
+		r, runErr = fuzzRounds(ctx, spec, opt, *duration, *quiet, leak.Run)
+		for _, f := range r.Findings {
+			repros = append(repros, f.Minimized)
 		}
-		report = report.Merge(next)
+		report, configs, render = r, r.Configs, func() { printLeakReport(r) }
+		if !r.Clean {
+			unclean = fmt.Errorf("fuzz: %d oracle errors across %d runs", r.Errors, r.Runs)
+		}
+	} else {
+		var r difftest.Report
+		r, runErr = fuzzRounds(ctx, spec, opt, *duration, *quiet, difftest.Run)
+		for _, d := range r.Divergences {
+			repros = append(repros, d.Minimized)
+		}
+		report, configs, render = r, r.Configs, func() { printFuzzReport(r) }
+		if !r.Clean {
+			unclean = fmt.Errorf("fuzz: %d divergences across %d runs", len(r.Divergences), r.Runs)
+		}
 	}
 
-	if report.Configs == 0 {
-		return runErr // the campaign never started (validation failure)
-	}
-	var repros []*difftest.Reproducer
-	for _, d := range report.Divergences {
-		repros = append(repros, d.Minimized)
+	if configs == 0 {
+		return runErr // the campaign never started
 	}
 	if err := saveRepros(*reproDir, repros); err != nil {
 		return err
@@ -113,63 +122,36 @@ func runFuzz(args []string) error {
 		}
 		os.Stdout.Write(b)
 	} else {
-		printFuzzReport(report)
+		render()
 	}
 	if runErr != nil {
 		return runErr
 	}
-	if !report.Clean {
-		return fmt.Errorf("fuzz: %d divergences across %d runs", len(report.Divergences), report.Runs)
-	}
-	return nil
+	return unclean
 }
 
-// runLeakFuzz drives the microarchitectural leak oracle (--leaks).  Leaks
-// are findings, not failures — a leaky insecure configuration is the
-// behaviour the paper documents — so the exit status reflects only oracle
-// errors (run_error / seq_divergence).
-func runLeakFuzz(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options, duration time.Duration, jsonOut, quiet bool, reproDir string) error {
+// fuzzRounds runs one campaign round, or under --duration successive rounds
+// over fresh seed ranges, merged in round order: the same seed range always
+// produces the same rows.  A cancelled campaign (Ctrl-C) still yields its
+// partial report — findings already made must reach the user, not die with
+// the interrupt.
+func fuzzRounds[R interface{ Merge(R) R }](ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options, duration time.Duration, quiet bool,
+	run func(context.Context, difftest.CampaignSpec, sweep.Options) (R, error)) (R, error) {
 	start := time.Now()
-	report, runErr := leak.Run(ctx, spec, opt)
+	report, err := run(ctx, spec, opt)
 	if !quiet {
 		fmt.Fprintln(os.Stderr)
 	}
-	for runErr == nil && duration > 0 && time.Since(start) < duration && ctx.Err() == nil {
+	for err == nil && duration > 0 && time.Since(start) < duration && ctx.Err() == nil {
 		spec.SeedBase += int64(spec.Seeds)
-		var next leak.Report
-		next, runErr = leak.Run(ctx, spec, opt)
+		var next R
+		next, err = run(ctx, spec, opt)
 		if !quiet {
 			fmt.Fprintln(os.Stderr)
 		}
 		report = report.Merge(next)
 	}
-
-	if report.Configs == 0 {
-		return runErr
-	}
-	var repros []*difftest.Reproducer
-	for _, f := range report.Findings {
-		repros = append(repros, f.Minimized)
-	}
-	if err := saveRepros(reproDir, repros); err != nil {
-		return err
-	}
-	if jsonOut {
-		b, err := server.Encode(report)
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(b)
-	} else {
-		printLeakReport(report)
-	}
-	if runErr != nil {
-		return runErr
-	}
-	if !report.Clean {
-		return fmt.Errorf("fuzz: %d oracle errors across %d runs", report.Errors, report.Runs)
-	}
-	return nil
+	return report, err
 }
 
 // saveRepros writes each minimized reproducer's interchange artifacts —

@@ -26,10 +26,10 @@ type CampaignSpec struct {
 	// Leaks switches the campaign to the microarchitectural leak oracle
 	// (specrun/internal/leak): each seed's program runs twice with two
 	// secret valuations and the speculative observation traces are diffed.
-	// The leak engine owns the execution (leak.Run); difftest.Run rejects a
-	// Leaks spec.  The field lives here so the one wire document — and its
-	// content-addressed cache key — covers both engines (omitempty keeps
-	// every pre-existing spec hash unchanged).
+	// leak.Run drives that oracle on this package's campaign engine;
+	// difftest.Run rejects a Leaks spec.  The field lives here so the one
+	// wire document — and its content-addressed cache key — covers both
+	// oracles (omitempty keeps every pre-existing spec hash unchanged).
 	Leaks bool `json:"leaks,omitempty"`
 }
 
@@ -60,15 +60,24 @@ func (s CampaignSpec) Options() proggen.Options {
 	return opt
 }
 
-// Configs resolves the named matrix.
-func (s CampaignSpec) Configs() ([]NamedConfig, error) {
-	switch s.Matrix {
-	case "", "quick":
-		return Matrix(false), nil
-	case "full":
-		return Matrix(true), nil
+// Resolve is the one rule set of a campaign spec, applied by both engines,
+// `specrun fuzz` and the server alike: it fills the defaults, requires at
+// least one seed and a body length of at least one, resolves the named
+// matrix, and rejects a spec that asks for both the leak and the
+// interleave oracle.
+func (s CampaignSpec) Resolve() (CampaignSpec, []NamedConfig, error) {
+	s = s.WithDefaults()
+	switch {
+	case s.Seeds < 1:
+		return s, nil, fmt.Errorf("campaign: seeds %d out of range (at least 1)", s.Seeds)
+	case s.Len < 1:
+		return s, nil, fmt.Errorf("campaign: len %d out of range (at least 1)", s.Len)
+	case s.Matrix != "quick" && s.Matrix != "full":
+		return s, nil, fmt.Errorf("campaign: unknown matrix %q (quick|full)", s.Matrix)
+	case s.Leaks && s.Interleave:
+		return s, nil, fmt.Errorf("campaign: leaks and interleave are mutually exclusive oracles")
 	}
-	return nil, fmt.Errorf("difftest: unknown matrix %q (quick|full)", s.Matrix)
+	return s, Matrix(s.Matrix == "full"), nil
 }
 
 // ConfigSummary aggregates a campaign's runs for one configuration.
@@ -92,39 +101,26 @@ type Report struct {
 	PerConfig   []ConfigSummary `json:"per_config"`
 }
 
-// Run executes a campaign: seeds shard across the sweep engine (honouring a
-// sweep.Gate installed on ctx — the server's worker budget), results
-// aggregate in seed order, and each divergent seed is minimized by the
-// shrinker unless the spec opts out.  A cancelled campaign returns the
-// partial report plus the context error.
+// Run executes a differential campaign on the campaign engine: seeds shard
+// across the sweep engine (SweepSeeds, honouring a sweep.Gate installed on
+// ctx — the server's worker budget), results aggregate in seed order, and
+// each divergent seed is minimized (ShrinkOncePerSeed) unless the spec opts
+// out.  A cancelled campaign returns the partial report plus the context
+// error.
 func Run(ctx context.Context, spec CampaignSpec, opt sweep.Options) (Report, error) {
-	spec = spec.WithDefaults()
-	if spec.Leaks {
-		return Report{}, fmt.Errorf("difftest: leak campaigns run via specrun/internal/leak")
-	}
-	if spec.Seeds < 1 {
-		return Report{}, fmt.Errorf("difftest: seeds %d out of range", spec.Seeds)
-	}
-	if spec.Len < 1 {
-		return Report{}, fmt.Errorf("difftest: len %d out of range", spec.Len)
-	}
-	cfgs, err := spec.Configs()
+	spec, cfgs, err := spec.Resolve()
 	if err != nil {
 		return Report{}, err
 	}
-	popt := spec.Options()
-
-	seeds := make([]int64, spec.Seeds)
-	for i := range seeds {
-		seeds[i] = spec.SeedBase + int64(i)
+	if spec.Leaks {
+		return Report{}, fmt.Errorf("difftest: leak campaigns run via specrun/internal/leak")
 	}
+	popt := spec.Options()
 	check := CheckSeed
 	if spec.Interleave {
 		check = CheckInterleave
 	}
-	results, runErr := sweep.Run(ctx, seeds, func(_ context.Context, seed int64) (SeedResult, error) {
-		return check(seed, popt, cfgs), nil
-	}, opt)
+	results, runErr := SweepSeeds(ctx, spec, opt, popt, cfgs, check)
 
 	rep := Report{Spec: spec, Configs: len(cfgs)}
 	rep.PerConfig = make([]ConfigSummary, len(cfgs))
@@ -155,44 +151,31 @@ func Run(ctx context.Context, spec CampaignSpec, opt sweep.Options) (Report, err
 	rep.Clean = len(rep.Divergences) == 0
 
 	if !spec.NoShrink && !spec.Interleave { // the shrinker minimizes against the ISS oracle only
-		byName := make(map[string]NamedConfig, len(cfgs))
-		for _, nc := range cfgs {
-			byName[nc.Name] = nc
-		}
-		// One seed typically diverges on many configurations for the same
-		// root cause (all four seeds of the first campaign did), so shrink
-		// each seed once — against its first divergent configuration — and
-		// attach that reproducer to every divergence of the seed.  The
-		// shrinker's simulations hold a slot of the shared worker budget,
-		// like every other simulation the server runs.
-		gate := opt.Gate
-		if gate == nil {
-			gate = sweep.GateFrom(ctx)
-		}
-		shrunkBySeed := make(map[int64]*Reproducer)
+		failures := make([]Failure, len(rep.Divergences))
 		for i := range rep.Divergences {
 			d := &rep.Divergences[i]
-			nc, ok := byName[d.Config]
-			if !ok || ctx.Err() != nil {
-				continue
-			}
-			min, ok := shrunkBySeed[d.Seed]
-			if !ok {
-				if gate != nil {
-					if gate.Acquire(ctx) != nil {
-						continue // cancelled while waiting for a slot
-					}
-				}
-				min = NewReproducer(d.Seed, Shrink(ctx, d.Seed, popt, nc), d.Config)
-				if gate != nil {
-					gate.Release()
-				}
-				shrunkBySeed[d.Seed] = min
-			}
-			d.Minimized = min
+			failures[i] = Failure{Seed: d.Seed, Config: d.Config, Minimized: &d.Minimized}
 		}
+		ShrinkOncePerSeed(ctx, opt, popt, cfgs, failures, diverges)
 	}
 	return rep, runErr
+}
+
+// SweepSeeds is the seed sweep of every campaign engine: an oracle's
+// per-seed check runs once per seed of the resolved spec's range, with the
+// campaign's generator options and configurations, sharded across the
+// sweep engine (honouring a sweep.Gate on ctx), and the results come back
+// in seed order.  A seed a cancelled sweep never reached leaves a zero
+// result.
+func SweepSeeds[R any](ctx context.Context, spec CampaignSpec, opt sweep.Options, popt proggen.Options, cfgs []NamedConfig,
+	check func(seed int64, opt proggen.Options, cfgs []NamedConfig) R) ([]R, error) {
+	seeds := make([]int64, spec.Seeds)
+	for i := range seeds {
+		seeds[i] = spec.SeedBase + int64(i)
+	}
+	return sweep.Run(ctx, seeds, func(_ context.Context, seed int64) (R, error) {
+		return check(seed, popt, cfgs), nil
+	}, opt)
 }
 
 // Merge folds a later campaign round into r (the CLI's --duration mode runs

@@ -132,46 +132,89 @@ func destString(d isa.Reg) string {
 }
 
 // runnerCache is the per-worker simulator state a differential campaign
-// reuses across seeds: one reference interpreter, one pipeline machine per
-// configuration, and the record buffers.  Rebuilding these per (seed,
-// config) dominated campaign allocation — a full-matrix run is
-// seeds × configs machines, each carrying megabytes of cache arrays.
-// CheckSeed draws a cache from a pool bounded by the worker count, so a
-// campaign builds machines once per worker per configuration.
+// reuses across seeds: one reference interpreter, the worker's machines
+// and the record buffers.  Rebuilding these per (seed, config) dominated
+// campaign allocation — a full-matrix run is seeds × configs machines,
+// each carrying megabytes of cache arrays.  CheckSeed draws a cache from a
+// pool bounded by the worker count, so a campaign builds machines once per
+// worker per configuration.
 type runnerCache struct {
 	ref  *iss.Interp
-	cpus map[string]*cacheEntry
-	tick uint64 // lastUse clock for the per-cache LRU bound
+	cpus MachineCache
 
 	refRecs  []record
 	pipeRecs []record
 }
 
-// cacheEntry guards reuse by value-comparing the full configuration: two
-// NamedConfigs may share a name (callers can hand-build them), and a name
-// collision must rebuild rather than silently simulate the wrong machine.
-type cacheEntry struct {
+// MachineCache is one worker's reusable pipeline machines, one per
+// configuration name; the differential and the leak oracle's per-worker
+// runners each hold one.  A cached machine is reused only while its name
+// still maps to the identical configuration (callers can hand-build
+// NamedConfigs that share a name, and a collision must rebuild rather than
+// silently simulate the wrong machine).  The cache holds at most
+// RunnerCacheCap machines and drops the least recently used on overflow.
+// Machines come back with whatever taps their last run left installed, so
+// an oracle installs its own around each run and removes them after.
+type MachineCache struct {
+	entries map[string]*cachedMachine
+	tick    uint64 // lastUse clock for the LRU bound
+}
+
+type cachedMachine struct {
 	cfg     cpu.Config
 	c       *cpu.CPU
 	lastUse uint64
 }
 
-// RunnerCacheCap bounds the machines one worker cache holds: the full
+// RunnerCacheCap bounds the machines one MachineCache holds: the full
 // matrix needs 19, and a long-lived server fuzzing hand-built config sets
-// must not accumulate one ~3 MB machine per configuration forever.  The
-// least-recently-used machine is dropped on overflow; RunnerEvictions
-// counts drops for GET /v1/stats.
+// must not accumulate one ~3 MB machine per configuration forever.
+// RunnerEvictions counts the machines the bound drops, in both oracles'
+// caches, for GET /v1/stats.
 const RunnerCacheCap = 32
 
 var runnerEvictions atomic.Uint64
 
-// RunnerEvictions reports how many difftest worker-cache machines have been
-// evicted by the LRU bound since process start.
+// RunnerEvictions reports how many machines the RunnerCacheCap bound has
+// dropped from the differential and leak oracles' per-worker caches since
+// process start.
 func RunnerEvictions() uint64 { return runnerEvictions.Load() }
 
-var runnerCaches = sweep.NewLocal(func() *runnerCache {
-	return &runnerCache{cpus: make(map[string]*cacheEntry, RunnerCacheCap)}
-})
+// Machine returns the cache's machine for nc loaded with prog: the cached
+// one after a Reset, or a new one.  A reused machine is byte-identical to
+// a fresh one (pinned by the cpu package's reset tests and the oracles'
+// worker-invariance tests).
+func (mc *MachineCache) Machine(nc NamedConfig, prog *asm.Program) *cpu.CPU {
+	if mc.entries == nil {
+		mc.entries = make(map[string]*cachedMachine, RunnerCacheCap)
+	}
+	e := mc.entries[nc.Name]
+	switch {
+	case e != nil && e.cfg == nc.Config:
+		e.c.Reset(prog)
+	case e != nil:
+		e.cfg, e.c = nc.Config, cpu.New(nc.Config, prog)
+	default:
+		if len(mc.entries) >= RunnerCacheCap {
+			var victim string
+			oldest := ^uint64(0)
+			for name, ce := range mc.entries {
+				if ce.lastUse < oldest {
+					victim, oldest = name, ce.lastUse
+				}
+			}
+			delete(mc.entries, victim)
+			runnerEvictions.Add(1)
+		}
+		e = &cachedMachine{cfg: nc.Config, c: cpu.New(nc.Config, prog)}
+		mc.entries[nc.Name] = e
+	}
+	mc.tick++
+	e.lastUse = mc.tick
+	return e.c
+}
+
+var runnerCaches = sweep.NewLocal(func() *runnerCache { return &runnerCache{} })
 
 // refStream executes prog on the reference interpreter, capturing one record
 // per instruction (the destination is read back after the step, so hardwired
@@ -208,10 +251,9 @@ func (rc *runnerCache) refStream(prog *asm.Program) ([]record, *iss.Interp, erro
 	return recs, ref, iss.ErrMaxSteps
 }
 
-// pipeStream runs prog on the pipeline under cfg, capturing the committed
-// instruction stream.  The machine for nc is reused across seeds via Reset;
-// a reused machine is byte-identical to a fresh one (pinned by the cpu
-// package's reset tests and this package's worker-invariance tests).
+// pipeStream runs prog on the worker's machine for nc, capturing the
+// committed instruction stream through a commit hook installed for the
+// run.
 //
 // The returned slice aliases the cache's reusable buffer and is valid only
 // until the next pipeStream call on the same cache (same contract as
@@ -219,27 +261,7 @@ func (rc *runnerCache) refStream(prog *asm.Program) ([]record, *iss.Interp, erro
 // next configuration; any caller that needs two streams at once must clone
 // the first.
 func (rc *runnerCache) pipeStream(nc NamedConfig, prog *asm.Program) ([]record, *cpu.CPU, error) {
-	e := rc.cpus[nc.Name]
-	if e == nil || e.cfg != nc.Config {
-		if e == nil && len(rc.cpus) >= RunnerCacheCap {
-			var victim string
-			oldest := ^uint64(0)
-			for name, ce := range rc.cpus {
-				if ce.lastUse < oldest {
-					victim, oldest = name, ce.lastUse
-				}
-			}
-			delete(rc.cpus, victim)
-			runnerEvictions.Add(1)
-		}
-		e = &cacheEntry{cfg: nc.Config, c: cpu.New(nc.Config, prog)}
-		rc.cpus[nc.Name] = e
-	} else {
-		e.c.Reset(prog)
-	}
-	rc.tick++
-	e.lastUse = rc.tick
-	c := e.c
+	c := rc.cpus.Machine(nc, prog)
 	if rc.pipeRecs == nil {
 		rc.pipeRecs = make([]record, 0, 4096)
 	}

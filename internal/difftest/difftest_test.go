@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -190,7 +191,7 @@ func TestReportMerge(t *testing.T) {
 // instructions; everything else must be stripped.
 func TestShrinkWithReduces(t *testing.T) {
 	fails := func(o proggen.Options) bool { return o.Loops && o.Len >= 17 }
-	got := shrinkWith(context.Background(), proggen.DefaultOptions(), fails)
+	got := ShrinkWith(context.Background(), proggen.DefaultOptions(), fails)
 	if !fails(got) {
 		t.Fatalf("shrunk options no longer fail: %+v", got)
 	}
@@ -205,5 +206,48 @@ func TestShrinkWithReduces(t *testing.T) {
 	}
 	if got.BufBytes != 512 {
 		t.Fatalf("buffer not reduced: %d", got.BufBytes)
+	}
+}
+
+// TestShrinkOncePerSeed drives the engine's shrink pass with a synthetic
+// predicate: each seed shrinks once, against its first failing
+// configuration and inside a gate slot, every failure of the seed shares
+// that reproducer, and a failure outside the configuration set (the
+// reference interpreter's) is left alone.
+func TestShrinkOncePerSeed(t *testing.T) {
+	cfgs := Matrix(false)[:2]
+	var mins [4]*Reproducer
+	failures := []Failure{
+		{Seed: 5, Config: cfgs[1].Name, Minimized: &mins[0]},
+		{Seed: 5, Config: cfgs[0].Name, Minimized: &mins[1]},
+		{Seed: 6, Config: "iss", Minimized: &mins[2]},
+		{Seed: 7, Config: cfgs[0].Name, Minimized: &mins[3]},
+	}
+	gate := sweep.NewGate(1)
+	shrunk := map[string]bool{}
+	fails := func(seed int64, o proggen.Options, nc NamedConfig) bool {
+		if gate.InFlight() != 1 {
+			t.Errorf("seed %d shrinks outside a gate slot", seed)
+		}
+		shrunk[fmt.Sprintf("%d/%s", seed, nc.Name)] = true
+		return o.Len >= 3
+	}
+	ShrinkOncePerSeed(context.Background(), sweep.Options{Gate: gate}, proggen.DefaultOptions(), cfgs, failures, fails)
+
+	want := map[string]bool{"5/" + cfgs[1].Name: true, "7/" + cfgs[0].Name: true}
+	if !reflect.DeepEqual(shrunk, want) {
+		t.Fatalf("shrunk %v, want %v", shrunk, want)
+	}
+	if mins[0] == nil || mins[1] != mins[0] || mins[0].Config != cfgs[1].Name || mins[0].Options.Len != 3 {
+		t.Fatalf("seed 5 reproducers: %+v, %+v", mins[0], mins[1])
+	}
+	if mins[2] != nil {
+		t.Fatalf("iss failure got a reproducer: %+v", mins[2])
+	}
+	if mins[3] == nil || mins[3].Seed != 7 {
+		t.Fatalf("seed 7 reproducer: %+v", mins[3])
+	}
+	if gate.InFlight() != 0 {
+		t.Fatalf("%d gate slots still held", gate.InFlight())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"specrun/internal/proggen"
+	"specrun/internal/sweep"
 )
 
 // Shrink minimizes the generator options for a seed that diverges under nc:
@@ -14,22 +15,70 @@ import (
 // ready to check in as a regression test.  Shrinking is best-effort: if ctx
 // is cancelled the current best reduction is returned.
 func Shrink(ctx context.Context, seed int64, opt proggen.Options, nc NamedConfig) proggen.Options {
-	return shrinkWith(ctx, opt, func(o proggen.Options) bool {
-		return len(CheckSeed(seed, o, []NamedConfig{nc}).Divergences) > 0
-	})
+	return ShrinkWith(ctx, opt, func(o proggen.Options) bool { return diverges(seed, o, nc) })
 }
 
-// ShrinkWith is the generic reduction loop over an arbitrary failure
-// predicate: the leak oracle (specrun/internal/leak) reuses the exact
-// difftest reduction strategy with "still leaks under this config" as the
-// predicate, so leak reproducers minimize the same way divergences do.
+// diverges is the differential oracle's shrink predicate: seed, generated
+// with o, still diverges under nc.
+func diverges(seed int64, o proggen.Options, nc NamedConfig) bool {
+	return len(CheckSeed(seed, o, []NamedConfig{nc}).Divergences) > 0
+}
+
+// Failure is one failing (seed, configuration) pair of a campaign report
+// and the report field its minimized reproducer goes into.
+type Failure struct {
+	Seed      int64
+	Config    string
+	Minimized **Reproducer
+}
+
+// ShrinkOncePerSeed is the shrink pass of every campaign engine.  One seed
+// typically fails on many configurations for the same root cause (all four
+// seeds of the first differential campaign did), so each seed is shrunk
+// once — against its first failing configuration in report order, from
+// the campaign's generator options popt, with fails as the "still fails"
+// predicate — and that reproducer is attached to every failure of the
+// seed.  A failure whose configuration is not in cfgs (the reference
+// interpreter's "iss") is left alone.  Each shrink holds one slot of the
+// worker gate (opt.Gate, else the one ctx carries), like every other
+// simulation the server runs; a cancelled ctx ends the pass.
+func ShrinkOncePerSeed(ctx context.Context, opt sweep.Options, popt proggen.Options, cfgs []NamedConfig,
+	failures []Failure, fails func(seed int64, o proggen.Options, nc NamedConfig) bool) {
+	byName := make(map[string]NamedConfig, len(cfgs))
+	for _, nc := range cfgs {
+		byName[nc.Name] = nc
+	}
+	gate := opt.Gate
+	if gate == nil {
+		gate = sweep.GateFrom(ctx)
+	}
+	shrunk := make(map[int64]*Reproducer)
+	for _, f := range failures {
+		nc, ok := byName[f.Config]
+		if !ok || ctx.Err() != nil {
+			continue
+		}
+		repro, ok := shrunk[f.Seed]
+		if !ok {
+			if gate != nil && gate.Acquire(ctx) != nil {
+				continue // cancelled while waiting for a slot
+			}
+			reduced := ShrinkWith(ctx, popt, func(o proggen.Options) bool { return fails(f.Seed, o, nc) })
+			if gate != nil {
+				gate.Release()
+			}
+			repro = NewReproducer(f.Seed, reduced, f.Config)
+			shrunk[f.Seed] = repro
+		}
+		*f.Minimized = repro
+	}
+}
+
+// ShrinkWith is the reduction loop over an arbitrary failure predicate:
+// both oracles minimize with it (the leak oracle's predicate is "still
+// leaks under this config"), so leak reproducers reduce the same way
+// divergences do.
 func ShrinkWith(ctx context.Context, opt proggen.Options, fails func(proggen.Options) bool) proggen.Options {
-	return shrinkWith(ctx, opt, fails)
-}
-
-// shrinkWith is the reduction loop (split out so the strategy itself is
-// testable without a real divergence).
-func shrinkWith(ctx context.Context, opt proggen.Options, fails func(proggen.Options) bool) proggen.Options {
 	// Feature ablation, most structural first.  Each trial regenerates the
 	// whole program (the RNG stream shifts), so a reduction is kept only
 	// when the smaller feature set still diverges.

@@ -49,28 +49,18 @@ func Options(spec difftest.CampaignSpec) proggen.Options {
 	return popt
 }
 
-// Run executes a leak campaign: the golden attack corpus first (every PoC
-// variant against every matrix configuration), then the generated-seed
-// sweep, sharded exactly like difftest.Run and honouring a sweep.Gate on
-// ctx.  Leaky seeds are minimized with the difftest shrinker unless the
-// spec opts out.
+// Run executes a leak campaign on the difftest campaign engine: the golden
+// attack corpus first (every PoC variant against every matrix
+// configuration), then the generated-seed sweep (difftest.SweepSeeds,
+// honouring a sweep.Gate on ctx), then the engine's shrink pass over the
+// leaky seeds unless the spec opts out.
 func Run(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options) (Report, error) {
-	spec = spec.WithDefaults()
-	if !spec.Leaks {
-		return Report{}, fmt.Errorf("leak: spec does not request a leak campaign")
-	}
-	if spec.Interleave {
-		return Report{}, fmt.Errorf("leak: --leaks and --interleave are mutually exclusive oracles")
-	}
-	if spec.Seeds < 1 {
-		return Report{}, fmt.Errorf("leak: seeds %d out of range", spec.Seeds)
-	}
-	if spec.Len < 1 {
-		return Report{}, fmt.Errorf("leak: len %d out of range", spec.Len)
-	}
-	cfgs, err := spec.Configs()
+	spec, cfgs, err := spec.Resolve()
 	if err != nil {
 		return Report{}, err
+	}
+	if !spec.Leaks {
+		return Report{}, fmt.Errorf("leak: spec does not request a leak campaign")
 	}
 	popt := Options(spec)
 
@@ -80,13 +70,7 @@ func Run(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options) (Re
 		return Report{}, err
 	}
 
-	seeds := make([]int64, spec.Seeds)
-	for i := range seeds {
-		seeds[i] = spec.SeedBase + int64(i)
-	}
-	results, runErr := sweep.Run(ctx, seeds, func(_ context.Context, seed int64) (SeedResult, error) {
-		return CheckSeed(seed, popt, cfgs), nil
-	}, opt)
+	results, runErr := difftest.SweepSeeds(ctx, spec, opt, popt, cfgs, CheckSeed)
 
 	rep.PerConfig = make([]ConfigSummary, len(cfgs))
 	perCfg := make(map[string]*ConfigSummary, len(cfgs))
@@ -122,58 +106,26 @@ func Run(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options) (Re
 	rep.Clean = rep.Errors == 0
 
 	if !spec.NoShrink {
-		minimize(ctx, &rep, popt, cfgs, opt)
+		var failures []difftest.Failure
+		for i := range rep.Findings {
+			if f := &rep.Findings[i]; f.Kind == KindLeak && f.Seed != 0 {
+				failures = append(failures, difftest.Failure{Seed: f.Seed, Config: f.Config, Minimized: &f.Minimized})
+			}
+		}
+		difftest.ShrinkOncePerSeed(ctx, opt, popt, cfgs, failures, leaks)
 	}
 	return rep, runErr
 }
 
-// minimize shrinks each leaky seed once — against its first leaking
-// configuration — and attaches the reproducer to every leak finding of the
-// seed, mirroring difftest.Run's shrink pass (including holding a slot of
-// the shared worker budget per shrink).
-func minimize(ctx context.Context, rep *Report, popt proggen.Options, cfgs []difftest.NamedConfig, opt sweep.Options) {
-	byName := make(map[string]difftest.NamedConfig, len(cfgs))
-	for _, nc := range cfgs {
-		byName[nc.Name] = nc
-	}
-	gate := opt.Gate
-	if gate == nil {
-		gate = sweep.GateFrom(ctx)
-	}
-	shrunkBySeed := make(map[int64]*difftest.Reproducer)
-	for i := range rep.Findings {
-		f := &rep.Findings[i]
-		if f.Kind != KindLeak || f.Seed == 0 {
-			continue
+// leaks is the leak oracle's shrink predicate: seed, generated with o,
+// still leaks under nc.
+func leaks(seed int64, o proggen.Options, nc difftest.NamedConfig) bool {
+	for _, f := range CheckSeed(seed, o, []difftest.NamedConfig{nc}).Findings {
+		if f.Kind == KindLeak {
+			return true
 		}
-		nc, ok := byName[f.Config]
-		if !ok || ctx.Err() != nil {
-			continue
-		}
-		min, ok := shrunkBySeed[f.Seed]
-		if !ok {
-			if gate != nil {
-				if gate.Acquire(ctx) != nil {
-					continue // cancelled while waiting for a slot
-				}
-			}
-			seed, cfg := f.Seed, []difftest.NamedConfig{nc}
-			reduced := difftest.ShrinkWith(ctx, popt, func(o proggen.Options) bool {
-				for _, g := range CheckSeed(seed, o, cfg).Findings {
-					if g.Kind == KindLeak {
-						return true
-					}
-				}
-				return false
-			})
-			if gate != nil {
-				gate.Release()
-			}
-			min = difftest.NewReproducer(f.Seed, reduced, f.Config)
-			shrunkBySeed[f.Seed] = min
-		}
-		f.Minimized = min
 	}
+	return false
 }
 
 // Merge folds a later campaign round into r (the CLI's --duration mode runs

@@ -3,6 +3,7 @@ package leak
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"specrun/internal/asm"
@@ -81,6 +82,31 @@ func TestCampaignSpecGuards(t *testing.T) {
 	}
 	if _, err := difftest.Run(context.Background(), difftest.CampaignSpec{Seeds: 1, Leaks: true}, sweep.Options{}); err == nil {
 		t.Error("difftest.Run accepted a Leaks spec")
+	}
+}
+
+// TestLeakEvictionsCounted: the leak runner's machines live in a
+// difftest.MachineCache, so a seed checked against more distinct
+// configurations than RunnerCacheCap drops machines, and each drop counts
+// in difftest.RunnerEvictions like the differential oracle's.
+func TestLeakEvictionsCounted(t *testing.T) {
+	base := difftest.Matrix(false)[1].Config
+	cfgs := make([]difftest.NamedConfig, difftest.RunnerCacheCap+1)
+	for i := range cfgs {
+		nc := difftest.NamedConfig{Name: fmt.Sprintf("rob%d", 64+8*i), Config: base}
+		nc.Config.ROBSize = 64 + 8*i
+		cfgs[i] = nc
+	}
+	opt := proggen.DefaultOptions()
+	opt.Len = 4
+	opt.SecretBytes = DefaultSecretBytes
+	before := difftest.RunnerEvictions()
+	res := CheckSeed(1, opt, cfgs)
+	if len(res.Ran) != len(cfgs) {
+		t.Fatalf("ran %d of %d configurations: %+v", len(res.Ran), len(cfgs), res.Findings)
+	}
+	if got := difftest.RunnerEvictions() - before; got < 1 {
+		t.Fatalf("RunnerEvictions rose by %d over %d configurations, want at least 1", got, len(cfgs))
 	}
 }
 

@@ -154,46 +154,37 @@ type Input struct {
 }
 
 // Runner holds the per-worker simulator state a leak campaign reuses across
-// inputs: one reference interpreter, one observed pipeline machine per
-// configuration, and the reusable trace buffers.  Each machine's observers
-// are installed once at construction and write through its own entry.active,
-// so machine reuse never reinstalls closures.
+// inputs: one reference interpreter, the worker's machines (a
+// difftest.MachineCache) and the reusable trace buffers.  The observation
+// taps write through r.active, the buffer of the run in progress; the
+// interpreter's tap stays installed, and each pipeline run installs the
+// machine's two taps around itself.
 type Runner struct {
 	ref  *iss.Interp
-	cpus map[string]*entry
-	tick uint64
+	cpus difftest.MachineCache
 
-	active     *[]Event // buffer the interpreter's observer appends to
+	active     *[]Event // buffer the running simulator's taps append to
 	bufA, bufB []Event
 	seqA, seqB []Event
 }
 
-type entry struct {
-	cfg     cpu.Config
-	c       *cpu.CPU
-	lastUse uint64
-	active  *[]Event // buffer this machine's observers append to
-}
-
 // NewRunner builds an empty runner (campaigns draw pooled runners instead).
-func NewRunner() *Runner {
-	return &Runner{cpus: make(map[string]*entry, difftest.RunnerCacheCap)}
-}
+func NewRunner() *Runner { return &Runner{} }
 
 var runners = sweep.NewLocal(NewRunner)
 
-func (e *entry) onCPU(o cpu.Observation) {
-	*e.active = append(*e.active, Event{
+func (r *Runner) onCPU(o cpu.Observation) {
+	*r.active = append(*r.active, Event{
 		PC: o.PC, Line: o.Line, Kind: cpuKind(o.Kind), Level: uint8(o.Level), Mode: uint8(o.Mode),
 	})
 }
 
-func (e *entry) onMem(ev mem.CacheEvent) {
+func (r *Runner) onMem(ev mem.CacheEvent) {
 	k := EvFill
 	if ev.Kind == mem.CacheEvict {
 		k = EvEvict
 	}
-	*e.active = append(*e.active, Event{Line: ev.Line, Kind: k, Level: uint8(ev.Level)})
+	*r.active = append(*r.active, Event{Line: ev.Line, Kind: k, Level: uint8(ev.Level)})
 }
 
 func (r *Runner) onISS(o iss.Observation) {
@@ -245,41 +236,21 @@ func (r *Runner) seqTrace(prog *asm.Program, poke func(*mem.Memory), into *[]Eve
 	return err
 }
 
-// pipeTrace runs prog on the pipeline under nc and captures its observation
-// trace.  Machines are cached per configuration name (value-compared, LRU-
-// bounded like the difftest runner cache) with observers pre-installed —
-// Reset keeps them.
+// pipeTrace runs prog on the worker's machine for nc and captures its
+// observation trace into *into (reused across calls).
 func (r *Runner) pipeTrace(nc difftest.NamedConfig, prog *asm.Program, poke func(*mem.Memory), into *[]Event) error {
-	e := r.cpus[nc.Name]
-	if e == nil || e.cfg != nc.Config {
-		if e == nil && len(r.cpus) >= difftest.RunnerCacheCap {
-			var victim string
-			oldest := ^uint64(0)
-			for name, ce := range r.cpus {
-				if ce.lastUse < oldest {
-					victim, oldest = name, ce.lastUse
-				}
-			}
-			delete(r.cpus, victim)
-		}
-		e = &entry{cfg: nc.Config}
-		c := cpu.New(nc.Config, prog)
-		c.SetObserver(e.onCPU)
-		c.Hier().SetObserver(e.onMem)
-		e.c = c
-		r.cpus[nc.Name] = e
-	} else {
-		e.c.Reset(prog)
-	}
-	r.tick++
-	e.lastUse = r.tick
+	c := r.cpus.Machine(nc, prog)
 	if poke != nil {
-		poke(e.c.Mem())
+		poke(c.Mem())
 	}
 	*into = (*into)[:0]
-	e.active = into
-	err := e.c.Run(cpuBudget)
-	e.active = nil
+	r.active = into
+	c.SetObserver(r.onCPU)
+	c.Hier().SetObserver(r.onMem)
+	err := c.Run(cpuBudget)
+	c.SetObserver(nil)
+	c.Hier().SetObserver(nil)
+	r.active = nil
 	return err
 }
 
@@ -321,16 +292,6 @@ func (r *Runner) CheckConfig(in Input, nc difftest.NamedConfig) (*Finding, bool)
 		return f, true
 	}
 	return nil, true
-}
-
-// CheckInput is the full oracle for one input on one configuration:
-// sequential baseline, then pipeline self-composition.
-func (r *Runner) CheckInput(in Input, nc difftest.NamedConfig) *Finding {
-	if f := r.CheckSeqBaseline(in); f != nil {
-		return f
-	}
-	f, _ := r.CheckConfig(in, nc)
-	return f
 }
 
 // firstDiff returns the index of the first differing event (handling prefix

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -13,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"specrun/internal/cpu"
 )
 
 // testCtx is the lease-context factory store-level tests use.
@@ -21,7 +24,7 @@ func testCtx() (context.Context, context.CancelFunc) {
 }
 
 // TestRetryBackoffSchedule pins the backoff math: exponential growth from
-// BaseDelay, capped at MaxDelay, with deterministic bounded jitter — the
+// BaseDelay, capped at retryMaxDelay, with deterministic bounded jitter — the
 // whole schedule is a pure function of (policy, job, attempt), so a
 // restarted server recomputes the identical plan.
 func TestRetryBackoffSchedule(t *testing.T) {
@@ -33,7 +36,7 @@ func TestRetryBackoffSchedule(t *testing.T) {
 		2 * time.Second,
 		4 * time.Second,
 		8 * time.Second,
-		15 * time.Second, // capped: 16s > MaxDelay
+		15 * time.Second, // capped: 16s > retryMaxDelay
 		15 * time.Second,
 	} {
 		if got := noJitter.delay("j1", i+1); got != want {
@@ -144,12 +147,12 @@ func TestFinishStaleAttempt(t *testing.T) {
 	}
 
 	// The zombie first attempt reports success late: dropped.
-	s.finish(id, lj1.attempt, "", []byte(`{"stale":true}`), "", false)
+	s.finish(id, lj1.attempt, "", []byte(`{"stale":true}`), nil, false)
 	if v, _ := s.get(id); v.Status != JobRunning || len(v.Result) != 0 {
 		t.Fatalf("stale finish applied: %+v", v)
 	}
 	// The live attempt's report lands.
-	s.finish(id, lj2.attempt, "key", []byte(`{"ok":true}`), "", false)
+	s.finish(id, lj2.attempt, "key", []byte(`{"ok":true}`), nil, false)
 	v, _ := s.get(id)
 	if v.Status != JobDone || string(v.Result) != `{"ok":true}` || v.Error != "" {
 		t.Fatalf("live finish: %+v", v)
@@ -170,7 +173,7 @@ func TestFailedAttemptRequeued(t *testing.T) {
 	t0 := time.Now()
 	id := s.create("fig9", JobRequest{})
 	lj, _ := s.leaseNext(t0, testCtx)
-	s.finish(id, lj.attempt, "", nil, "injected fault", false)
+	s.finish(id, lj.attempt, "", nil, errors.New("injected fault"), false)
 
 	v, _ := s.get(id)
 	if v.Status != JobPending || v.Error != "injected fault" {
@@ -183,10 +186,43 @@ func TestFailedAttemptRequeued(t *testing.T) {
 	if !ok || lj.attempt != 2 {
 		t.Fatalf("retry lease: %+v %v", lj, ok)
 	}
-	s.finish(id, lj.attempt, "", []byte(`{}`), "", false)
+	s.finish(id, lj.attempt, "", []byte(`{}`), nil, false)
 	v, _ = s.get(id)
 	if v.Status != JobDone || v.Error != "" || v.Attempts != 2 {
 		t.Fatalf("after recovery: %+v", v)
+	}
+}
+
+// TestDeterministicFailureFinal: an attempt that exhausted its cycle budget
+// or deadlocked fails the job at once, however its error was wrapped,
+// while any other failure still re-queues.
+func TestDeterministicFailureFinal(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		err   error
+		final bool
+	}{
+		{"max-cycles", cpu.ErrMaxCycles, true},
+		{"deadlock-wrapped", fmt.Errorf("%w at cycle 7", cpu.ErrDeadlock), true},
+		{"sweep-joined", errors.Join(errors.New("point 1: ok"), fmt.Errorf("point 2: %w", cpu.ErrMaxCycles)), true},
+		{"injected", errors.New("faultinject: journal.append: injected fault"), false},
+		{"timeout", context.DeadlineExceeded, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newJobStore()
+			s.policy = RetryPolicy{Jitter: -1}.withDefaults()
+			id := s.create("program", JobRequest{})
+			lj, _ := s.leaseNext(time.Now(), testCtx)
+			s.finish(id, lj.attempt, "", nil, tc.err, false)
+			v, _ := s.get(id)
+			want := JobPending
+			if tc.final {
+				want = JobFailed
+			}
+			if v.Status != want || v.Attempts != 1 || v.Error != tc.err.Error() {
+				t.Fatalf("after %v: %+v, want %s after 1 attempt", tc.err, v, want)
+			}
+		})
 	}
 }
 
@@ -212,7 +248,7 @@ func TestJournalRestore(t *testing.T) {
 
 	doneID := a.create("fig9", JobRequest{RunRequest: RunRequest{Workers: 1}})
 	lj, _ := a.leaseNext(time.Now(), testCtx)
-	a.finish(doneID, lj.attempt, "cachekey", []byte(`{"answer":42}`), "", false)
+	a.finish(doneID, lj.attempt, "cachekey", []byte(`{"answer":42}`), nil, false)
 
 	failedID := a.create("fig10", JobRequest{})
 	for i := 0; i < 2; i++ {
@@ -220,7 +256,7 @@ func TestJournalRestore(t *testing.T) {
 		if !ok {
 			t.Fatalf("lease %d of failing job", i)
 		}
-		a.finish(failedID, lj.attempt, "", nil, "boom", false)
+		a.finish(failedID, lj.attempt, "", nil, errors.New("boom"), false)
 	}
 
 	cancelledID := a.create("fig9", JobRequest{})

@@ -21,21 +21,18 @@ type FuzzRequest struct {
 	Workers int `json:"workers,omitempty"` // worker goroutines (0 = GOMAXPROCS); never part of the cache key
 }
 
-// resolve validates and normalises the campaign, bounding it so a hostile
-// document cannot request unbounded simulation.
+// resolve applies the campaign rule set every entry point shares
+// (difftest.CampaignSpec.Resolve), then the server's upper bounds, so a
+// hostile document cannot request unbounded simulation.
 func (r FuzzRequest) resolve() (difftest.CampaignSpec, error) {
-	spec := r.CampaignSpec.WithDefaults()
-	if spec.Seeds < 1 || spec.Seeds > 1<<16 {
-		return spec, fmt.Errorf("fuzz: seeds %d out of range (1..%d)", spec.Seeds, 1<<16)
-	}
-	if spec.Len < 1 || spec.Len > 1<<12 {
-		return spec, fmt.Errorf("fuzz: len %d out of range (1..%d)", spec.Len, 1<<12)
-	}
-	if _, err := spec.Configs(); err != nil {
+	spec, _, err := r.CampaignSpec.Resolve()
+	switch {
+	case err != nil:
 		return spec, err
-	}
-	if spec.Leaks && spec.Interleave {
-		return spec, fmt.Errorf("fuzz: leaks and interleave are mutually exclusive oracles")
+	case spec.Seeds > 1<<16:
+		return spec, fmt.Errorf("fuzz: seeds %d out of range (1..%d)", spec.Seeds, 1<<16)
+	case spec.Len > 1<<12:
+		return spec, fmt.Errorf("fuzz: len %d out of range (1..%d)", spec.Len, 1<<12)
 	}
 	return spec, nil
 }

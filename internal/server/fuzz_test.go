@@ -68,6 +68,48 @@ func TestFuzzEndpointValidation(t *testing.T) {
 	}
 }
 
+// TestCampaignSpecOneRuleSet pins the one campaign rule set
+// (difftest.CampaignSpec.Resolve): each invalid spec gets the same error
+// text from both engines, from POST /v1/run/fuzz and from a fuzz job.
+func TestCampaignSpecOneRuleSet(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, body := range []string{
+		`{"seeds": -1}`,
+		`{"len": -5}`,
+		`{"matrix": "bogus"}`,
+		`{"leaks": true, "interleave": true}`,
+	} {
+		var spec difftest.CampaignSpec
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatal(err)
+		}
+		_, derr := difftest.Run(context.Background(), spec, sweep.Options{})
+		_, lerr := leak.Run(context.Background(), spec, sweep.Options{})
+		if derr == nil || lerr == nil {
+			t.Fatalf("%s: engines accepted the spec (difftest %v, leak %v)", body, derr, lerr)
+		}
+		want := derr.Error()
+		if lerr.Error() != want {
+			t.Errorf("%s: leak.Run says %q, difftest.Run %q", body, lerr, want)
+		}
+		for _, r := range []struct{ path, body string }{
+			{"/v1/run/fuzz", body},
+			{"/v1/jobs", `{"fuzz": ` + body + `}`},
+		} {
+			code, _, resp := do(t, "POST", ts.URL+r.path, r.body)
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(resp, &e); err != nil {
+				t.Fatalf("POST %s %s: %v (%s)", r.path, r.body, err, resp)
+			}
+			if code != http.StatusBadRequest || e.Error != want {
+				t.Errorf("POST %s %s: %d %q, want 400 %q", r.path, r.body, code, e.Error, want)
+			}
+		}
+	}
+}
+
 func TestFuzzJob(t *testing.T) {
 	_, ts := newTestServer(t)
 	code, _, body := do(t, "POST", ts.URL+"/v1/jobs", `{"fuzz": {"seeds": 2}}`)

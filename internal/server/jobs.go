@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"hash/fnv"
 	"log/slog"
 	"math"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"specrun/internal/cpu"
 )
 
 // Job statuses.  A job is born pending, is leased into running by the
@@ -61,21 +64,27 @@ type JobStats struct {
 // simulation is deterministic and content-addressed, so re-running an
 // attempt is always safe (at-least-once semantics collapse to
 // exactly-once results); the policy only bounds how hard the server tries.
+// An attempt that exhausted its cycle budget or deadlocked is not retried
+// at all: it would fail the same way every time (see retryable).
 type RetryPolicy struct {
 	// MaxAttempts is the total number of leases a job may consume,
 	// including the first (0 selects 3; 1 disables retries).
 	MaxAttempts int `json:"max_attempts,omitempty"`
 	// BaseDelay is the backoff before the second attempt (0 = 250ms);
-	// each further attempt multiplies it by Multiplier (0 = 2), capped at
-	// MaxDelay (0 = 15s).
-	BaseDelay  time.Duration `json:"base_delay,omitempty"`
-	MaxDelay   time.Duration `json:"max_delay,omitempty"`
-	Multiplier float64       `json:"multiplier,omitempty"`
+	// each further attempt multiplies it by retryMultiplier, capped at
+	// retryMaxDelay.
+	BaseDelay time.Duration `json:"base_delay,omitempty"`
 	// Jitter spreads the delay by ±Jitter fraction, deterministically per
 	// (job, attempt) so schedules are reproducible (0 selects 0.2;
 	// negative disables).
 	Jitter float64 `json:"jitter,omitempty"`
 }
+
+// Backoff growth per failed attempt, and its cap.
+const (
+	retryMultiplier = 2
+	retryMaxDelay   = 15 * time.Second
+)
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
@@ -83,12 +92,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 250 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 15 * time.Second
-	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = 2
 	}
 	if p.Jitter == 0 {
 		p.Jitter = 0.2
@@ -102,9 +105,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // jitter is a hash of (jobID, attempt), not a random draw: restarting the
 // server reproduces the same schedule.
 func (p RetryPolicy) delay(jobID string, attempt int) time.Duration {
-	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(attempt-1))
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+	d := float64(p.BaseDelay) * math.Pow(retryMultiplier, float64(attempt-1))
+	if d > float64(retryMaxDelay) {
+		d = float64(retryMaxDelay)
 	}
 	if p.Jitter > 0 {
 		h := fnv.New64a()
@@ -118,6 +121,16 @@ func (p RetryPolicy) delay(jobID string, attempt int) time.Duration {
 		d = 0
 	}
 	return time.Duration(d)
+}
+
+// retryable reports whether another attempt could end differently.  A
+// simulation is deterministic, so a program that exhausts its cycle budget
+// or deadlocks does so on every attempt; errors.Is reaches both through
+// every run path (the raw error of a program run, a sweep's errors.Join,
+// the %w wrapping in core and attack).  Panics, injected faults and job
+// timeouts stay retryable.
+func retryable(err error) bool {
+	return !errors.Is(err, cpu.ErrMaxCycles) && !errors.Is(err, cpu.ErrDeadlock)
 }
 
 // defaultLeaseTTL is how long an attempt may run without renewing its lease
@@ -435,9 +448,9 @@ func (s *jobStore) watch(id string) (<-chan jobEvent, func(), bool) {
 // cancelled, or the watchdog already re-leased it — are dropped, except
 // that a partial result may still attach to a cancelled job (the
 // simulation's completed points are real).  A failed attempt re-queues the
-// job with backoff while attempts remain; terminal transitions journal
-// with fsync.
-func (s *jobStore) finish(id string, attempt int, key string, result []byte, errText string, cancelled bool) {
+// job with backoff while attempts remain and the error is retryable;
+// terminal transitions journal with fsync.
+func (s *jobStore) finish(id string, attempt int, key string, result []byte, err error, cancelled bool) {
 	now := time.Now()
 	var rec *journalRecord
 	fsyncRec := false
@@ -470,23 +483,23 @@ func (s *jobStore) finish(id string, attempt int, key string, result []byte, err
 		rec = &journalRecord{T: recCancelled, Job: id, At: nowMilli(now)}
 		fsyncRec = true
 		s.terminal(j)
-	case errText != "" && j.attempt < s.policy.MaxAttempts:
+	case err != nil && j.attempt < s.policy.MaxAttempts && retryable(err):
 		s.retries++
 		j.status = JobPending
-		j.errText = errText
+		j.errText = err.Error()
 		j.nextRunAt = now.Add(s.policy.delay(id, j.attempt))
 		j.leaseUntil = time.Time{}
 		j.cancel = nil
 		rec = &journalRecord{
 			T: recRetry, Job: id, At: nowMilli(now),
-			Attempt: j.attempt, Error: errText, Next: nowMilli(j.nextRunAt),
+			Attempt: j.attempt, Error: j.errText, Next: nowMilli(j.nextRunAt),
 		}
-		s.logger.Warn("job attempt failed; requeued", "job", id, "attempt", j.attempt, "error", errText, "next_run", j.nextRunAt)
-	case errText != "":
+		s.logger.Warn("job attempt failed; requeued", "job", id, "attempt", j.attempt, "error", j.errText, "next_run", j.nextRunAt)
+	case err != nil:
 		j.status = JobFailed
 		j.finished = now
-		j.errText = errText
-		rec = &journalRecord{T: recFailed, Job: id, At: nowMilli(now), Error: errText}
+		j.errText = err.Error()
+		rec = &journalRecord{T: recFailed, Job: id, At: nowMilli(now), Error: j.errText}
 		fsyncRec = true
 		s.terminal(j)
 	default:

@@ -175,7 +175,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Per-shape machine pools dropped by the LRU bound.",
 		func() uint64 { return core.MachinePoolStats().Evictions })
 	r.CounterFunc("specrun_difftest_runner_evictions_total",
-		"Differential-oracle worker-cache machines dropped.",
+		"Machines dropped from the differential and leak oracles' per-worker caches.",
 		difftest.RunnerEvictions)
 
 	r.CounterFunc("specrun_sim_cycles_total",

@@ -249,12 +249,13 @@ func TestProgramMetrics(t *testing.T) {
 	}
 	do(t, "POST", ts.URL+"/v1/run/program", `{}`)
 
-	// A program that never halts runs out of its budget on every attempt.
+	// A program that never halts would run out of its budget on every
+	// attempt, so its first exhausted budget fails the job.
 	looping := map[string]any{"asm": ".org 0x1000\nloop:\n    beq r0, r0, loop\n", "max_cycles": 1000}
 	jobBody, _ := json.Marshal(map[string]any{"program": looping})
 	id := submitJob(t, ts.URL, string(jobBody))
-	if v := pollJob(t, ts.URL, id); v.Status != JobFailed || v.Attempts != 3 {
-		t.Fatalf("looping program job: %s after %d attempts (%s), want failed after 3", v.Status, v.Attempts, v.Error)
+	if v := pollJob(t, ts.URL, id); v.Status != JobFailed || v.Attempts != 1 {
+		t.Fatalf("looping program job: %s after %d attempts (%s), want failed after 1", v.Status, v.Attempts, v.Error)
 	}
 
 	_, _, metricsBody := do(t, "GET", ts.URL+"/metrics", "")

@@ -247,7 +247,7 @@ func (s *Server) runAttempt(lj leasedJob) {
 func (s *Server) executeJob(ctx context.Context, lj leasedJob) {
 	t, err := jobTask(lj.req)
 	if err != nil {
-		s.jobs.finish(lj.id, lj.attempt, "", nil, err.Error(), false)
+		s.jobs.finish(lj.id, lj.attempt, "", nil, err, false)
 		return
 	}
 	s.runJob(ctx, lj, t)
@@ -500,17 +500,18 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 // MachinePoolStats reports reusable-machine retention: the CPU model's
 // per-shape pool LRU (a shape is a configuration minus the runahead kind,
 // skip-INV and secure switches, which a lent machine takes on without a
-// rebuild) and the differential engine's per-worker machine caches.  Both
-// are bounded; the eviction counters tell an operator whether a long-lived
-// server is cycling through more shapes than the bounds hold.
+// rebuild) and the per-worker machine caches of the differential and leak
+// oracles.  Both are bounded; the eviction counters tell an operator
+// whether a long-lived server is cycling through more shapes than the
+// bounds hold.
 type MachinePoolStats struct {
 	Configs          int    `json:"configs"`               // machine shapes with a live pool
 	Capacity         int    `json:"capacity"`              // shape pool LRU bound
 	Evictions        uint64 `json:"evictions"`             // shape pools dropped
 	Hits             uint64 `json:"hits"`                  // runs that borrowed a warm machine
 	Misses           uint64 `json:"misses"`                // runs that built a machine from scratch
-	RunnerEvictions  uint64 `json:"runner_evictions"`      // difftest worker-cache machines dropped
-	RunnerCapPerSlot int    `json:"runner_cap_per_worker"` // difftest per-worker machine bound
+	RunnerEvictions  uint64 `json:"runner_evictions"`      // machines dropped from either oracle's per-worker caches
+	RunnerCapPerSlot int    `json:"runner_cap_per_worker"` // machines one oracle's per-worker cache holds
 }
 
 // RuntimeStats is the process- and scheduler-health section of

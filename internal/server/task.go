@@ -67,7 +67,7 @@ func (s *Server) runJob(ctx context.Context, lj leasedJob, t task) {
 		s.jobs.progress(lj.id, lj.attempt, p.Done, p.Total)
 	}
 	if body, ok := s.cache.Get(t.key); ok {
-		s.jobs.finish(lj.id, lj.attempt, t.key, body, "", false)
+		s.jobs.finish(lj.id, lj.attempt, t.key, body, nil, false)
 		return
 	}
 	s.simulations.Add(1)
@@ -83,12 +83,12 @@ func (s *Server) runJob(ctx context.Context, lj leasedJob, t task) {
 	}
 	switch {
 	case errors.Is(err, context.Canceled):
-		s.jobs.finish(lj.id, lj.attempt, "", body, "", true)
+		s.jobs.finish(lj.id, lj.attempt, "", body, nil, true)
 	case err != nil:
-		s.jobs.finish(lj.id, lj.attempt, "", nil, err.Error(), false)
+		s.jobs.finish(lj.id, lj.attempt, "", nil, err, false)
 	default:
 		s.cache.Add(t.key, body)
-		s.jobs.finish(lj.id, lj.attempt, t.key, body, "", false)
+		s.jobs.finish(lj.id, lj.attempt, t.key, body, nil, false)
 	}
 }
 
