@@ -58,7 +58,7 @@ func runTrace(args []string) error {
 		}
 	}
 
-	prog, name, err := traceProgram(*bench, *seed, *attackVar)
+	prog, name, err := traceProgram(*bench, *seed, *attackVar, &cfg)
 	if err != nil {
 		return err
 	}
@@ -110,8 +110,9 @@ func runTrace(args []string) error {
 }
 
 // traceProgram picks the program to trace; the selectors are mutually
-// exclusive and default to the Gems kernel.
-func traceProgram(bench string, seed int64, attackVar string) (*asm.Program, string, error) {
+// exclusive and default to the Gems kernel.  An attack PoC also adjusts cfg
+// for its variant (attack.ConfigFor), the machine attack.Run gives it.
+func traceProgram(bench string, seed int64, attackVar string, cfg *core.Config) (*asm.Program, string, error) {
 	selectors := 0
 	for _, set := range []bool{bench != "", seed >= 0, attackVar != ""} {
 		if set {
@@ -131,6 +132,7 @@ func traceProgram(bench string, seed int64, attackVar string) (*asm.Program, str
 		if err != nil {
 			return nil, "", err
 		}
+		*cfg = attack.ConfigFor(p.Variant, *cfg)
 		return prog, "attack/" + attackVar, nil
 	case seed >= 0:
 		return proggen.Generate(seed, proggen.DefaultOptions()), fmt.Sprintf("proggen/%d", seed), nil

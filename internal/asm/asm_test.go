@@ -201,6 +201,12 @@ func TestParseErrors(t *testing.T) {
 		{"duplicate label", "a:\na:\nnop", "duplicate"},
 		{"bad memop", "ld r1, r2", "bad memory operand"},
 		{"bad scale", "ldx r1, [r2 + r3*3 + 0]", "bad scale"},
+		{"two scaled indexes", "ldx r1, [r2 + r3*2 + r4*4]", "two index registers"},
+		{"index then scaled index", "ldx r1, [r2 + r3 + r4*4]", "two index registers"},
+		{"clflush index", "clflush [r1 + r2*8 + 0]", "index register"},
+		{"bad equ name", ".equ 0 0", "bad symbol name"},
+		{"equ name with dash", ".equ a-b 1", "bad symbol name"},
+		{"overlong label", strings.Repeat("x", MaxSymbolLen+1) + ": halt", "bad symbol name"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,6 +215,45 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// The earliest ';', '#' or "//" outside a string literal starts the
+// comment, and a backslash-escaped quote does not end the literal.
+func TestStripComment(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"# a ; b", ""},
+		{"halt # x ; y", "halt "},
+		{"halt ; x # y // z", "halt "},
+		{"halt // x ; y # z", "halt "},
+		{"halt / x", "halt / x"},
+		{`s: .ascii "a\";b"`, `s: .ascii "a\";b"`},
+		{`s: .ascii "a\\" ; c`, `s: .ascii "a\\" `},
+		{`s: .ascii "#;//" # c ; d`, `s: .ascii "#;//" `},
+	} {
+		if got := stripComment(tc.in); got != tc.want {
+			t.Errorf("stripComment(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
+func TestParseCommentCases(t *testing.T) {
+	p, err := Parse("t", "# a ; b\nhalt # x ; y\ns: .ascii \"a\\\";b\" // c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Insts) != 1 || p.Insts[0].Op != isa.HALT {
+		t.Fatalf("insts = %v, want [halt]", p.Insts)
+	}
+	if len(p.Segments) != 1 || string(p.Segments[0].Data) != `a";b` {
+		t.Fatalf("segments = %+v, want the string a\";b", p.Segments)
+	}
+}
+
+// The longest symbol name the binary codec carries assembles.
+func TestParseLongestSymbol(t *testing.T) {
+	if _, err := Parse("t", strings.Repeat("x", MaxSymbolLen)+": halt"); err != nil {
+		t.Fatal(err)
 	}
 }
 

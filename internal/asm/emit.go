@@ -3,9 +3,7 @@ package asm
 import (
 	"encoding/hex"
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"specrun/internal/isa"
@@ -73,7 +71,7 @@ func (p *Program) Disassemble() string {
 		for _, name := range codeLabels[pc] {
 			fmt.Fprintf(&b, "%s:\n", name)
 		}
-		fmt.Fprintf(&b, "  %s\n", formatInst(in, symAt))
+		fmt.Fprintf(&b, "  %s\n", in.Format(symAt))
 	}
 	for i, seg := range p.Segments {
 		fmt.Fprintf(&b, ".data %#x\n", seg.Addr)
@@ -84,66 +82,4 @@ func (p *Program) Disassemble() string {
 		}
 	}
 	return b.String()
-}
-
-// formatInst renders one instruction in assembler syntax.  symAt resolves a
-// branch/jump target address to a code label (empty string if none); all
-// other operands are numeric.  Float immediates use exact forms (Go
-// hex-float, or nan:0x<bits> for NaN payloads) so re-assembly is bit-exact.
-func formatInst(in isa.Inst, symAt func(uint64) string) string {
-	var args []string
-	addr := func() string {
-		if in.UsesIndex() {
-			return fmt.Sprintf("[%s + %s*%d + %d]", in.Rs1, in.Rs2, 1<<in.Scale, in.Imm)
-		}
-		return fmt.Sprintf("[%s + %d]", in.Rs1, in.Imm)
-	}
-	target := func() string {
-		if name := symAt(in.Target); name != "" {
-			return name
-		}
-		return fmt.Sprintf("%#x", in.Target)
-	}
-	switch in.Op.Kind() {
-	case isa.KindALU:
-		switch in.Op {
-		case isa.MOVI:
-			args = []string{in.Rd.String(), strconv.FormatInt(in.Imm, 10)}
-		case isa.FMOVI:
-			args = []string{in.Rd.String(), formatFloatImm(in.Imm)}
-		case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
-			args = []string{in.Rd.String(), in.Rs1.String(), strconv.FormatInt(in.Imm, 10)}
-		default:
-			args = []string{in.Rd.String(), in.Rs1.String(), in.Rs2.String()}
-		}
-	case isa.KindLoad:
-		args = []string{in.Rd.String(), addr()}
-	case isa.KindStore:
-		args = []string{addr(), in.Rs3.String()}
-	case isa.KindBranch:
-		args = []string{in.Rs1.String(), in.Rs2.String(), target()}
-	case isa.KindJump, isa.KindCall:
-		args = []string{target()}
-	case isa.KindJumpR, isa.KindCallR:
-		args = []string{in.Rs1.String()}
-	case isa.KindFlush:
-		args = []string{addr()}
-	case isa.KindRDTSC:
-		args = []string{in.Rd.String()}
-	}
-	if len(args) == 0 {
-		return in.Op.Name()
-	}
-	return in.Op.Name() + " " + strings.Join(args, ", ")
-}
-
-// formatFloatImm renders an FMOVI immediate (float64 bits) exactly: NaNs as
-// nan:0x<bits> to keep the payload, everything else as a shortest hex float
-// accepted by strconv.ParseFloat.
-func formatFloatImm(imm int64) string {
-	v := math.Float64frombits(uint64(imm))
-	if math.IsNaN(v) {
-		return fmt.Sprintf("nan:%#x", uint64(imm))
-	}
-	return strconv.FormatFloat(v, 'x', -1, 64)
 }

@@ -34,7 +34,7 @@ func (e *ParseError) Error() string {
 
 // Parse assembles source text into a Program.  The dialect:
 //
-//	; comment            (also "#" and "//")
+//	; comment            (also "#" and "//"; the earliest outside a string wins)
 //	.org 0x1000          set the text base (before any instruction)
 //	.data 0x100000       set the data cursor
 //	.align 64            align the data cursor
@@ -53,7 +53,11 @@ func (e *ParseError) Error() string {
 //	ld r1, [r2 + 8]      loads; also [r2], [r2 + r3*8 + off]
 //	st [r2 + 8], r3      stores
 //	beq r1, r2, label    branches; targets are labels or absolute addresses
-//	clflush [r2]         flush; rdtsc r1; call f; ret; nop; fence; halt
+//	clflush [r2 + 64]    flush the line at base + offset (no index register)
+//	rdtsc r1             also jmp l; jr r1; call f; callr r1; ret; nop; fence; halt
+//
+// Each opcode takes the operands its isa.Opcode.Operands slots name, in
+// that order; the mov rd, rs pseudo-instruction assembles as addi rd, rs, 0.
 //
 // Assembly is two-pass: pass one sizes text/data and collects symbols, pass
 // two emits instructions with all symbols resolved.  Errors carry positions:
@@ -90,11 +94,16 @@ func MustParse(name, src string) *Program {
 	return p
 }
 
+// MaxSymbolLen bounds a symbol name, in bytes.
+const MaxSymbolLen = 128
+
 // ValidSymbol reports whether name is a legal assembly identifier, usable as
-// a label or .equ name.  The binary codec enforces the same alphabet so every
-// decoded symbol table survives disassembly.
+// a label or .equ name: at most MaxSymbolLen letters, digits, '_' and '.',
+// not starting with a digit.  The binary codec enforces the same rule, so
+// every assembled program encodes and every decoded symbol table survives
+// disassembly.
 func ValidSymbol(name string) bool {
-	return isIdent(name)
+	return len(name) <= MaxSymbolLen && isIdent(name)
 }
 
 type parser struct {
@@ -166,17 +175,19 @@ func (p *parser) run(src string, pass int) error {
 	return nil
 }
 
+// stripComment cuts a line at its comment: the earliest ';', '#' or "//"
+// outside a string literal.  Inside a literal a backslash escapes the next
+// byte, so an escaped quote does not end the string.
 func stripComment(s string) string {
-	for _, sep := range []string{";", "#", "//"} {
-		// Do not cut inside string literals.
-		inStr := false
-		for i := 0; i+len(sep) <= len(s); i++ {
-			if s[i] == '"' {
-				inStr = !inStr
-			}
-			if !inStr && strings.HasPrefix(s[i:], sep) {
-				return s[:i]
-			}
+	inStr := false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case inStr && c == '\\':
+			i++
+		case c == '"':
+			inStr = !inStr
+		case !inStr && (c == ';' || c == '#' || c == '/' && strings.HasPrefix(s[i+1:], "/")):
+			return s[:i]
 		}
 	}
 	return s
@@ -185,6 +196,9 @@ func stripComment(s string) string {
 func (p *parser) define(name string, v uint64) error {
 	if p.pass == 2 {
 		return nil // already collected in pass one
+	}
+	if !ValidSymbol(name) {
+		return p.tokErr(name, "bad symbol name %q", name)
 	}
 	if _, dup := p.syms[name]; dup {
 		return p.tokErr(name, "duplicate symbol %q", name)
@@ -461,6 +475,10 @@ func (p *parser) memOperand(s string) (base, idx isa.Reg, scale uint8, imm int64
 			if err != nil {
 				return
 			}
+			if idx != isa.NoReg {
+				err = p.tokErr(part, "two index registers in %q", s)
+				return
+			}
 			sc, err = p.immediate(sub[1])
 			if err != nil {
 				return
@@ -556,135 +574,36 @@ func (p *parser) instruction(line string) error {
 		return p.tokErr(mnemonic, "unknown mnemonic %q", mnemonic)
 	}
 	args := splitArgs(rest)
-	in := isa.Inst{Op: op}
-	need := func(n int) error {
-		if len(args) != n {
-			return p.lineErr("%s wants %d operands, got %d", op, n, len(args))
-		}
-		return nil
+	slots := op.Operands()
+	if len(args) != len(slots) {
+		return p.lineErr("%s wants %d operands, got %d", op, len(slots), len(args))
 	}
-	var err error
-	switch op.Kind() {
-	case isa.KindALU:
-		switch op {
-		case isa.MOVI:
-			if err = need(2); err != nil {
-				return err
-			}
-			if in.Rd, err = p.parseReg(args[0]); err != nil {
-				return err
-			}
-			if in.Imm, err = p.immediate(args[1]); err != nil {
-				return err
-			}
-		case isa.FMOVI:
-			if err = need(2); err != nil {
-				return err
-			}
-			if in.Rd, err = p.parseReg(args[0]); err != nil {
-				return err
-			}
-			if in.Imm, err = p.floatImm(args[1]); err != nil {
-				return err
-			}
-		case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
-			if err = need(3); err != nil {
-				return err
-			}
-			if in.Rd, err = p.parseReg(args[0]); err != nil {
-				return err
-			}
-			if in.Rs1, err = p.parseReg(args[1]); err != nil {
-				return err
-			}
-			if in.Imm, err = p.immediate(args[2]); err != nil {
-				return err
-			}
-		default:
-			if err = need(3); err != nil {
-				return err
-			}
-			if in.Rd, err = p.parseReg(args[0]); err != nil {
-				return err
-			}
-			if in.Rs1, err = p.parseReg(args[1]); err != nil {
-				return err
-			}
-			if in.Rs2, err = p.parseReg(args[2]); err != nil {
-				return err
-			}
+	in := isa.Inst{Op: op}
+	for i, slot := range slots {
+		var err error
+		switch slot {
+		case isa.OperandRd:
+			in.Rd, err = p.parseReg(args[i])
+		case isa.OperandRs1:
+			in.Rs1, err = p.parseReg(args[i])
+		case isa.OperandRs2:
+			in.Rs2, err = p.parseReg(args[i])
+		case isa.OperandRs3:
+			in.Rs3, err = p.parseReg(args[i])
+		case isa.OperandImm:
+			in.Imm, err = p.immediate(args[i])
+		case isa.OperandFloat:
+			in.Imm, err = p.floatImm(args[i])
+		case isa.OperandMem:
+			in.Rs1, in.Rs2, in.Scale, in.Imm, err = p.memOperand(args[i])
+		case isa.OperandTarget:
+			var t int64
+			t, err = p.immediate(args[i])
+			in.Target = uint64(t)
 		}
-	case isa.KindLoad:
-		if err = need(2); err != nil {
+		if err != nil {
 			return err
 		}
-		if in.Rd, err = p.parseReg(args[0]); err != nil {
-			return err
-		}
-		if in.Rs1, in.Rs2, in.Scale, in.Imm, err = p.memOperand(args[1]); err != nil {
-			return err
-		}
-	case isa.KindStore:
-		if err = need(2); err != nil {
-			return err
-		}
-		if in.Rs1, in.Rs2, in.Scale, in.Imm, err = p.memOperand(args[0]); err != nil {
-			return err
-		}
-		if in.Rs3, err = p.parseReg(args[1]); err != nil {
-			return err
-		}
-	case isa.KindBranch:
-		if err = need(3); err != nil {
-			return err
-		}
-		if in.Rs1, err = p.parseReg(args[0]); err != nil {
-			return err
-		}
-		if in.Rs2, err = p.parseReg(args[1]); err != nil {
-			return err
-		}
-		t, terr := p.immediate(args[2])
-		if terr != nil {
-			return terr
-		}
-		in.Target = uint64(t)
-	case isa.KindJump, isa.KindCall:
-		if err = need(1); err != nil {
-			return err
-		}
-		t, terr := p.immediate(args[0])
-		if terr != nil {
-			return terr
-		}
-		in.Target = uint64(t)
-	case isa.KindJumpR, isa.KindCallR:
-		if err = need(1); err != nil {
-			return err
-		}
-		if in.Rs1, err = p.parseReg(args[0]); err != nil {
-			return err
-		}
-	case isa.KindFlush:
-		if err = need(1); err != nil {
-			return err
-		}
-		if in.Rs1, in.Rs2, in.Scale, in.Imm, err = p.memOperand(args[0]); err != nil {
-			return err
-		}
-	case isa.KindRDTSC:
-		if err = need(1); err != nil {
-			return err
-		}
-		if in.Rd, err = p.parseReg(args[0]); err != nil {
-			return err
-		}
-	case isa.KindRet, isa.KindNop, isa.KindFence, isa.KindHalt:
-		if err = need(0); err != nil {
-			return err
-		}
-	default:
-		return p.lineErr("cannot assemble %s", op)
 	}
 	p.emit(in)
 	return nil

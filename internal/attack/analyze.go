@@ -61,13 +61,14 @@ type Result struct {
 const runBudget = 10_000_000
 
 // Run builds and executes the PoC on a machine with configuration cfg,
-// borrowed from the CPU model's machine pool.
+// adjusted for the variant (ConfigFor) and borrowed from the CPU model's
+// machine pool.
 func Run(cfg cpu.Config, p Params) (Result, error) {
 	prog, l, err := Build(p)
 	if err != nil {
 		return Result{}, err
 	}
-	c := cpu.Borrow(cfg, prog)
+	c := cpu.Borrow(ConfigFor(p.Variant, cfg), prog)
 	defer c.Release()
 	if err := c.Run(runBudget); err != nil {
 		return Result{}, fmt.Errorf("attack: %s run: %w", p.Variant, err)

@@ -187,6 +187,21 @@ func TestLeakSecretMultiByte(t *testing.T) {
 	}
 }
 
+// Run tunes the machine for its variant (ConfigFor), so LeakSecret on the
+// untuned default configuration extracts a SpectreBTB secret too.
+func TestLeakSecretBTBUntunedConfig(t *testing.T) {
+	p := DefaultParams()
+	p.Variant = VariantBTB
+	p.Secret = []byte("AB")
+	got, _, err := LeakSecret(context.Background(), cpu.DefaultConfig(), p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "AB" {
+		t.Fatalf("recovered %q, want %q", got, "AB")
+	}
+}
+
 // TestLeakBeyondFirstSecretLine pins that the channel reaches secret bytes
 // past the first cache line: the prologue must warm the line holding the
 // targeted byte, not only the secret's first line.

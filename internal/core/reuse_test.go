@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
+	"specrun/internal/asm"
 	"specrun/internal/workload"
 )
 
@@ -34,5 +37,29 @@ func TestRunProgramStatsMatchesFreshMachine(t *testing.T) {
 				t.Fatalf("round %d: pooled stats diverged:\nfresh:  %s\npooled: %s", round, want, got)
 			}
 		}
+	}
+}
+
+// A cancel lands within one slice of at most 64K cycles: cancelling from the
+// first progress report of a program that never halts stops it before
+// another slice completes.
+func TestRunProgramCancelWithinOneSlice(t *testing.T) {
+	const maxSlice = 1 << 16
+	prog := asm.MustParse("loop", "loop: beq r0, r0, loop")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var reports []uint64
+	_, err := RunProgramStatsCtx(ctx, DefaultConfig(), prog, 1<<30, func(cycles, _ uint64) {
+		reports = append(reports, cycles)
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(reports) == 0 || reports[0] > maxSlice {
+		t.Fatalf("progress reports %v: first slice over %d cycles", reports, maxSlice)
+	}
+	if last := reports[len(reports)-1]; len(reports) > 2 || last > reports[0]+maxSlice {
+		t.Fatalf("progress reports %v: more than one slice after the cancel", reports)
 	}
 }

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Inst is one decoded instruction.  The assembler produces these directly;
 // there is no binary encoding (the simulator is a decoupled functional/timing
@@ -20,39 +17,22 @@ type Inst struct {
 }
 
 // SrcRegs appends the valid source registers of the instruction to dst and
-// returns it.  The hardwired zero register is included (it always reads 0 but
-// still appears as an operand).
+// returns it: the registers its operand slots read (an address reads its
+// base and, when present, its index), in field order rs1, rs2, rs3, then
+// the implicit stack pointer of CALL, CALLR and RET.  The hardwired zero
+// register is included (it always reads 0 but still appears as an operand).
 func (in Inst) SrcRegs(dst []Reg) []Reg {
-	switch in.Op.Kind() {
-	case KindALU:
-		switch in.Op {
-		case MOVI, FMOVI:
-			// no register sources
-		case ADDI, ANDI, ORI, XORI, SHLI, SHRI:
-			dst = append(dst, in.Rs1)
-		default:
-			dst = append(dst, in.Rs1, in.Rs2)
-		}
-	case KindLoad:
+	f := srcFlags[in.Op]
+	if f&srcRs1 != 0 {
 		dst = append(dst, in.Rs1)
-		if in.Rs2 != NoReg {
-			dst = append(dst, in.Rs2)
-		}
-	case KindStore:
-		dst = append(dst, in.Rs1)
-		if in.Rs2 != NoReg {
-			dst = append(dst, in.Rs2)
-		}
+	}
+	if f&srcRs2 != 0 || f&srcIndex != 0 && in.Rs2 != NoReg {
+		dst = append(dst, in.Rs2)
+	}
+	if f&srcRs3 != 0 {
 		dst = append(dst, in.Rs3)
-	case KindBranch:
-		dst = append(dst, in.Rs1, in.Rs2)
-	case KindJumpR:
-		dst = append(dst, in.Rs1)
-	case KindCallR:
-		dst = append(dst, in.Rs1, SP)
-	case KindFlush:
-		dst = append(dst, in.Rs1)
-	case KindCall, KindRet:
+	}
+	if f&srcSP != 0 {
 		dst = append(dst, SP)
 	}
 	return dst
@@ -84,6 +64,10 @@ func (in Inst) Validate() error {
 	if in.Scale > 4 {
 		return fmt.Errorf("isa: %s: scale %d out of range", in.Op, in.Scale)
 	}
+	if in.Op.Kind() == KindFlush && in.Rs2 != NoReg {
+		// The machine flushes rs1+imm; an index would name another line.
+		return fmt.Errorf("isa: %s: index register %s not allowed", in.Op, in.Rs2)
+	}
 	if dc := in.Op.DestClass(); dc != ClassNone {
 		if in.Op.Kind() == KindCall || in.Op.Kind() == KindRet {
 			// implicit sp destination, rd unused
@@ -112,57 +96,5 @@ func (in Inst) Validate() error {
 	return nil
 }
 
-// String disassembles the instruction.
-func (in Inst) String() string {
-	var b strings.Builder
-	b.WriteString(in.Op.Name())
-	arg := func(s string) {
-		if strings.HasSuffix(b.String(), in.Op.Name()) {
-			b.WriteByte(' ')
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(s)
-	}
-	addr := func() string {
-		if in.UsesIndex() {
-			return fmt.Sprintf("[%s + %s*%d + %d]", in.Rs1, in.Rs2, 1<<in.Scale, in.Imm)
-		}
-		return fmt.Sprintf("[%s + %d]", in.Rs1, in.Imm)
-	}
-	switch in.Op.Kind() {
-	case KindALU:
-		switch in.Op {
-		case MOVI, FMOVI:
-			arg(in.Rd.String())
-			arg(fmt.Sprintf("%d", in.Imm))
-		case ADDI, ANDI, ORI, XORI, SHLI, SHRI:
-			arg(in.Rd.String())
-			arg(in.Rs1.String())
-			arg(fmt.Sprintf("%d", in.Imm))
-		default:
-			arg(in.Rd.String())
-			arg(in.Rs1.String())
-			arg(in.Rs2.String())
-		}
-	case KindLoad:
-		arg(in.Rd.String())
-		arg(addr())
-	case KindStore:
-		arg(addr())
-		arg(in.Rs3.String())
-	case KindBranch:
-		arg(in.Rs1.String())
-		arg(in.Rs2.String())
-		arg(fmt.Sprintf("0x%x", in.Target))
-	case KindJump, KindCall:
-		arg(fmt.Sprintf("0x%x", in.Target))
-	case KindJumpR, KindCallR:
-		arg(in.Rs1.String())
-	case KindFlush:
-		arg(addr())
-	case KindRDTSC:
-		arg(in.Rd.String())
-	}
-	return b.String()
-}
+// String disassembles the instruction, with numeric branch targets.
+func (in Inst) String() string { return in.Format(nil) }

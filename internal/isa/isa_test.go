@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -216,6 +217,7 @@ func TestInstValidate(t *testing.T) {
 		{Op: LDX, Rd: R(1), Rs1: R(2), Rs2: R(3), Scale: 5},
 		{Op: ST, Rs1: R(1), Rs3: F(2)}, // wrong store data class
 		{Op: FST, Rs1: R(1), Rs3: R(2)},
+		{Op: CLFLUSH, Rs1: R(1), Rs2: R(2), Scale: 3}, // flushes rs1+imm: no index
 	}
 	for _, in := range bad {
 		if err := in.Validate(); err == nil {
@@ -240,6 +242,10 @@ func TestInstString(t *testing.T) {
 		{Inst{Op: RDTSC, Rd: R(7)}, "rdtsc r7"},
 		{Inst{Op: NOP}, "nop"},
 		{Inst{Op: RET}, "ret"},
+		// FMOVI prints the float immediate the assembler reads back.
+		{Inst{Op: FMOVI, Rd: F(1), Imm: int64(math.Float64bits(1.5))}, "fmovi f1, 0x1.8p+00"},
+		{Inst{Op: FMOVI, Rd: F(2), Imm: int64(math.Float64bits(-0.1))}, "fmovi f2, -0x1.999999999999ap-04"},
+		{Inst{Op: FMOVI, Rd: F(3), Imm: 0x7ff800000000beef}, "fmovi f3, nan:0x7ff800000000beef"},
 	}
 	for _, tt := range tests {
 		if got := tt.in.String(); got != tt.want {

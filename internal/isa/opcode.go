@@ -124,74 +124,75 @@ type opInfo struct {
 	name      string
 	kind      Kind
 	fu        FU
-	lat       uint8    // execution latency in cycles (Table 1)
-	destClass RegClass // ClassNone if no destination
-	memSize   uint8    // bytes accessed (0 for non-memory ops)
+	lat       uint8     // execution latency in cycles (Table 1)
+	destClass RegClass  // ClassNone if no destination
+	memSize   uint8     // bytes accessed (0 for non-memory ops)
+	operands  []Operand // operand slots in assembler order (operands.go)
 }
 
 var opTable = [numOpcodes]opInfo{
-	BAD: {"bad", KindBad, FUNone, 0, ClassNone, 0},
+	BAD: {"bad", KindBad, FUNone, 0, ClassNone, 0, nil},
 
-	ADD: {"add", KindALU, FUIntALU, 1, ClassInt, 0},
-	SUB: {"sub", KindALU, FUIntALU, 1, ClassInt, 0},
-	MUL: {"mul", KindALU, FUIntMul, 2, ClassInt, 0},
-	DIV: {"div", KindALU, FUIntDiv, 5, ClassInt, 0},
-	AND: {"and", KindALU, FUIntALU, 1, ClassInt, 0},
-	OR:  {"or", KindALU, FUIntALU, 1, ClassInt, 0},
-	XOR: {"xor", KindALU, FUIntALU, 1, ClassInt, 0},
-	SHL: {"shl", KindALU, FUIntALU, 1, ClassInt, 0},
-	SHR: {"shr", KindALU, FUIntALU, 1, ClassInt, 0},
+	ADD: {"add", KindALU, FUIntALU, 1, ClassInt, 0, formReg3},
+	SUB: {"sub", KindALU, FUIntALU, 1, ClassInt, 0, formReg3},
+	MUL: {"mul", KindALU, FUIntMul, 2, ClassInt, 0, formReg3},
+	DIV: {"div", KindALU, FUIntDiv, 5, ClassInt, 0, formReg3},
+	AND: {"and", KindALU, FUIntALU, 1, ClassInt, 0, formReg3},
+	OR:  {"or", KindALU, FUIntALU, 1, ClassInt, 0, formReg3},
+	XOR: {"xor", KindALU, FUIntALU, 1, ClassInt, 0, formReg3},
+	SHL: {"shl", KindALU, FUIntALU, 1, ClassInt, 0, formReg3},
+	SHR: {"shr", KindALU, FUIntALU, 1, ClassInt, 0, formReg3},
 
-	ADDI: {"addi", KindALU, FUIntALU, 1, ClassInt, 0},
-	ANDI: {"andi", KindALU, FUIntALU, 1, ClassInt, 0},
-	ORI:  {"ori", KindALU, FUIntALU, 1, ClassInt, 0},
-	XORI: {"xori", KindALU, FUIntALU, 1, ClassInt, 0},
-	SHLI: {"shli", KindALU, FUIntALU, 1, ClassInt, 0},
-	SHRI: {"shri", KindALU, FUIntALU, 1, ClassInt, 0},
-	MOVI: {"movi", KindALU, FUIntALU, 1, ClassInt, 0},
+	ADDI: {"addi", KindALU, FUIntALU, 1, ClassInt, 0, formRegImm},
+	ANDI: {"andi", KindALU, FUIntALU, 1, ClassInt, 0, formRegImm},
+	ORI:  {"ori", KindALU, FUIntALU, 1, ClassInt, 0, formRegImm},
+	XORI: {"xori", KindALU, FUIntALU, 1, ClassInt, 0, formRegImm},
+	SHLI: {"shli", KindALU, FUIntALU, 1, ClassInt, 0, formRegImm},
+	SHRI: {"shri", KindALU, FUIntALU, 1, ClassInt, 0, formRegImm},
+	MOVI: {"movi", KindALU, FUIntALU, 1, ClassInt, 0, formMovImm},
 
-	LD:   {"ld", KindLoad, FUMem, 2, ClassInt, 8},
-	LDB:  {"ldb", KindLoad, FUMem, 2, ClassInt, 1},
-	LDX:  {"ldx", KindLoad, FUMem, 2, ClassInt, 8},
-	LDBX: {"ldbx", KindLoad, FUMem, 2, ClassInt, 1},
+	LD:   {"ld", KindLoad, FUMem, 2, ClassInt, 8, formLoad},
+	LDB:  {"ldb", KindLoad, FUMem, 2, ClassInt, 1, formLoad},
+	LDX:  {"ldx", KindLoad, FUMem, 2, ClassInt, 8, formLoad},
+	LDBX: {"ldbx", KindLoad, FUMem, 2, ClassInt, 1, formLoad},
 
-	ST:   {"st", KindStore, FUMem, 1, ClassNone, 8},
-	STB:  {"stb", KindStore, FUMem, 1, ClassNone, 1},
-	STX:  {"stx", KindStore, FUMem, 1, ClassNone, 8},
-	STBX: {"stbx", KindStore, FUMem, 1, ClassNone, 1},
+	ST:   {"st", KindStore, FUMem, 1, ClassNone, 8, formStore},
+	STB:  {"stb", KindStore, FUMem, 1, ClassNone, 1, formStore},
+	STX:  {"stx", KindStore, FUMem, 1, ClassNone, 8, formStore},
+	STBX: {"stbx", KindStore, FUMem, 1, ClassNone, 1, formStore},
 
-	BEQ:  {"beq", KindBranch, FUIntALU, 1, ClassNone, 0},
-	BNE:  {"bne", KindBranch, FUIntALU, 1, ClassNone, 0},
-	BLT:  {"blt", KindBranch, FUIntALU, 1, ClassNone, 0},
-	BGE:  {"bge", KindBranch, FUIntALU, 1, ClassNone, 0},
-	BLTU: {"bltu", KindBranch, FUIntALU, 1, ClassNone, 0},
-	BGEU: {"bgeu", KindBranch, FUIntALU, 1, ClassNone, 0},
+	BEQ:  {"beq", KindBranch, FUIntALU, 1, ClassNone, 0, formBranch},
+	BNE:  {"bne", KindBranch, FUIntALU, 1, ClassNone, 0, formBranch},
+	BLT:  {"blt", KindBranch, FUIntALU, 1, ClassNone, 0, formBranch},
+	BGE:  {"bge", KindBranch, FUIntALU, 1, ClassNone, 0, formBranch},
+	BLTU: {"bltu", KindBranch, FUIntALU, 1, ClassNone, 0, formBranch},
+	BGEU: {"bgeu", KindBranch, FUIntALU, 1, ClassNone, 0, formBranch},
 
-	JMP:   {"jmp", KindJump, FUIntALU, 1, ClassNone, 0},
-	JR:    {"jr", KindJumpR, FUIntALU, 1, ClassNone, 0},
-	CALL:  {"call", KindCall, FUMem, 1, ClassNone, 8},
-	CALLR: {"callr", KindCallR, FUMem, 1, ClassNone, 8},
-	RET:   {"ret", KindRet, FUMem, 2, ClassNone, 8},
+	JMP:   {"jmp", KindJump, FUIntALU, 1, ClassNone, 0, formTarget},
+	JR:    {"jr", KindJumpR, FUIntALU, 1, ClassNone, 0, formSrc},
+	CALL:  {"call", KindCall, FUMem, 1, ClassNone, 8, formTarget},
+	CALLR: {"callr", KindCallR, FUMem, 1, ClassNone, 8, formSrc},
+	RET:   {"ret", KindRet, FUMem, 2, ClassNone, 8, nil},
 
-	CLFLUSH: {"clflush", KindFlush, FUMem, 1, ClassNone, 1},
-	RDTSC:   {"rdtsc", KindRDTSC, FUIntALU, 1, ClassInt, 0},
+	CLFLUSH: {"clflush", KindFlush, FUMem, 1, ClassNone, 1, formAddr},
+	RDTSC:   {"rdtsc", KindRDTSC, FUIntALU, 1, ClassInt, 0, formDest},
 
-	FLD:   {"fld", KindLoad, FUMem, 2, ClassFP, 8},
-	FST:   {"fst", KindStore, FUMem, 1, ClassNone, 8},
-	FADD:  {"fadd", KindALU, FUFPAdd, 5, ClassFP, 0},
-	FSUB:  {"fsub", KindALU, FUFPAdd, 5, ClassFP, 0},
-	FMUL:  {"fmul", KindALU, FUFPMul, 10, ClassFP, 0},
-	FDIV:  {"fdiv", KindALU, FUFPDiv, 15, ClassFP, 0},
-	FMOVI: {"fmovi", KindALU, FUFPAdd, 1, ClassFP, 0},
+	FLD:   {"fld", KindLoad, FUMem, 2, ClassFP, 8, formLoad},
+	FST:   {"fst", KindStore, FUMem, 1, ClassNone, 8, formStore},
+	FADD:  {"fadd", KindALU, FUFPAdd, 5, ClassFP, 0, formReg3},
+	FSUB:  {"fsub", KindALU, FUFPAdd, 5, ClassFP, 0, formReg3},
+	FMUL:  {"fmul", KindALU, FUFPMul, 10, ClassFP, 0, formReg3},
+	FDIV:  {"fdiv", KindALU, FUFPDiv, 15, ClassFP, 0, formReg3},
+	FMOVI: {"fmovi", KindALU, FUFPAdd, 1, ClassFP, 0, formMovFloat},
 
-	VLD:   {"vld", KindLoad, FUMem, 2, ClassVec, 16},
-	VST:   {"vst", KindStore, FUMem, 1, ClassNone, 16},
-	VADDQ: {"vaddq", KindALU, FUIntALU, 1, ClassVec, 0},
-	VXORQ: {"vxorq", KindALU, FUIntALU, 1, ClassVec, 0},
+	VLD:   {"vld", KindLoad, FUMem, 2, ClassVec, 16, formLoad},
+	VST:   {"vst", KindStore, FUMem, 1, ClassNone, 16, formStore},
+	VADDQ: {"vaddq", KindALU, FUIntALU, 1, ClassVec, 0, formReg3},
+	VXORQ: {"vxorq", KindALU, FUIntALU, 1, ClassVec, 0, formReg3},
 
-	NOP:   {"nop", KindNop, FUNone, 1, ClassNone, 0},
-	FENCE: {"fence", KindFence, FUNone, 1, ClassNone, 0},
-	HALT:  {"halt", KindHalt, FUNone, 1, ClassNone, 0},
+	NOP:   {"nop", KindNop, FUNone, 1, ClassNone, 0, nil},
+	FENCE: {"fence", KindFence, FUNone, 1, ClassNone, 0, nil},
+	HALT:  {"halt", KindHalt, FUNone, 1, ClassNone, 0, nil},
 }
 
 // Name returns the assembler mnemonic.

@@ -13,9 +13,9 @@
 //	magic "SPRG" | u16 version (=1)
 //	uvarint text base
 //	uvarint instruction count, then per instruction:
-//	    opcode byte, then the operand fields the opcode carries, in order
-//	    rd, rs1, rs2, scale, rs3 (one byte each; reg = class<<6 | idx),
-//	    imm (varint, zigzag), target (uvarint)
+//	    opcode byte, then the operand fields its operand slots carry
+//	    (isa.Opcode.Operands), in order rd, rs1, rs2, scale, rs3 (one byte
+//	    each; reg = class<<6 | idx), imm (varint, zigzag), target (uvarint)
 //	uvarint segment count, then per segment:
 //	    uvarint address, uvarint length, raw bytes
 //	uvarint symbol count, then per symbol (strictly increasing by name):
@@ -45,11 +45,11 @@ const Ext = ".sprog"
 // Decode/Encode limits.  They bound hostile inputs (the server accepts
 // programs over HTTP) and are far above anything the generators produce.
 const (
-	MaxInsts     = 1 << 20 // instructions per program
-	MaxSegments  = 1 << 16 // data segments
-	MaxDataBytes = 1 << 24 // total initialised data bytes
-	MaxSymbols   = 1 << 16 // symbol-table entries
-	MaxNameLen   = 128     // bytes per symbol name
+	MaxInsts     = 1 << 20          // instructions per program
+	MaxSegments  = 1 << 16          // data segments
+	MaxDataBytes = 1 << 24          // total initialised data bytes
+	MaxSymbols   = 1 << 16          // symbol-table entries
+	MaxNameLen   = asm.MaxSymbolLen // bytes per symbol name
 )
 
 // Hash returns the content address of an encoded program: the hex sha256 of
@@ -59,41 +59,39 @@ func Hash(bin []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// fields describes which operand fields an opcode carries on the wire.  mem
-// stands for the full addressing tuple rs1, rs2, scale, imm.
+// fields describes which operand fields an opcode carries on the wire, read
+// off its operand slots (isa.Opcode.Operands).  mem stands for the full
+// addressing tuple rs1, rs2, scale, imm; a float immediate travels as imm.
 type fields struct {
 	rd, rs1, rs2, rs3, imm, target, mem bool
 }
 
-func wireFields(op isa.Opcode) fields {
-	switch op.Kind() {
-	case isa.KindALU:
-		switch op {
-		case isa.MOVI, isa.FMOVI:
-			return fields{rd: true, imm: true}
-		case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
-			return fields{rd: true, rs1: true, imm: true}
-		default:
-			return fields{rd: true, rs1: true, rs2: true}
+// wire holds every opcode's fields, so the codec's per-instruction lookup
+// is one load (undefined opcodes carry none).
+var wire = func() (t [256]fields) {
+	for op := range t {
+		f := &t[op]
+		for _, o := range isa.Opcode(op).Operands() {
+			switch o {
+			case isa.OperandRd:
+				f.rd = true
+			case isa.OperandRs1:
+				f.rs1 = true
+			case isa.OperandRs2:
+				f.rs2 = true
+			case isa.OperandRs3:
+				f.rs3 = true
+			case isa.OperandImm, isa.OperandFloat:
+				f.imm = true
+			case isa.OperandMem:
+				f.mem = true
+			case isa.OperandTarget:
+				f.target = true
+			}
 		}
-	case isa.KindLoad:
-		return fields{rd: true, mem: true}
-	case isa.KindStore:
-		return fields{mem: true, rs3: true}
-	case isa.KindBranch:
-		return fields{rs1: true, rs2: true, target: true}
-	case isa.KindJump, isa.KindCall:
-		return fields{target: true}
-	case isa.KindJumpR, isa.KindCallR:
-		return fields{rs1: true}
-	case isa.KindFlush:
-		return fields{mem: true}
-	case isa.KindRDTSC:
-		return fields{rd: true}
-	default:
-		return fields{}
 	}
-}
+	return t
+}()
 
 // canonInst checks that an instruction is in canonical form: it validates,
 // every field its opcode does not carry is zero, and an absent index
@@ -104,7 +102,7 @@ func canonInst(in isa.Inst) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	f := wireFields(in.Op)
+	f := wire[in.Op]
 	want := isa.Inst{Op: in.Op}
 	if f.rd {
 		want.Rd = in.Rd
@@ -170,7 +168,7 @@ func Encode(p *asm.Program) ([]byte, error) {
 			return nil, fmt.Errorf("prog: instruction %d: %w", i, err)
 		}
 		b = append(b, byte(in.Op))
-		f := wireFields(in.Op)
+		f := wire[in.Op]
 		if f.rd {
 			b = append(b, regByte(in.Rd))
 		}
@@ -329,7 +327,7 @@ func Decode(bin []byte) (*asm.Program, error) {
 	}
 	for i := 0; i < nInsts && d.err == nil; i++ {
 		in := isa.Inst{Op: isa.Opcode(d.u8())}
-		f := wireFields(in.Op)
+		f := wire[in.Op]
 		if f.rd {
 			in.Rd = byteReg(d.u8())
 		}

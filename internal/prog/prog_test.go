@@ -185,6 +185,15 @@ func TestDecodeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// clflush [r1 + 0] with its index and scale bytes, which follow the
+	// magic, version, two-byte base, count, opcode and rs1 bytes, set to
+	// r2 and 3: [r1 + r2*8 + 0], a line the machine never flushes.
+	flush, err := prog.Encode(asm.MustParse("t", "clflush [r1 + 0]\nhalt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := len(prog.Magic) + 2 + 2 + 1 + 2
+	flush[i], flush[i+1] = flush[i-1]+1, 3
 	cases := []struct {
 		name string
 		bin  []byte
@@ -195,6 +204,7 @@ func TestDecodeRejects(t *testing.T) {
 		{"bad version", append([]byte("SPRG\x63\x00"), good[6:]...), "unsupported version"},
 		{"trailing bytes", append(append([]byte{}, good...), 0), "trailing"},
 		{"truncated", good[:len(good)-1], "varint"},
+		{"clflush index", flush, "index register"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

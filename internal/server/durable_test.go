@@ -164,6 +164,53 @@ func TestFinishStaleAttempt(t *testing.T) {
 	}
 }
 
+// TestProgressNotifiesOnChange: every progress report renews the lease (it
+// is the heartbeat), but watchers hear only a changed count, so an SSE
+// stream never repeats a view.
+func TestProgressNotifiesOnChange(t *testing.T) {
+	s := newJobStore()
+	id := s.create("program", JobRequest{})
+	lj, ok := s.leaseNext(time.Now(), testCtx)
+	if !ok {
+		t.Fatal("no lease")
+	}
+	ch, stop, _ := s.watch(id)
+	defer stop()
+	events := func() (n int) {
+		for {
+			select {
+			case <-ch:
+				n++
+			default:
+				return n
+			}
+		}
+	}
+	lease := func() time.Time {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobs[id].leaseUntil
+	}
+	s.progress(id, lj.attempt, 0, 200)
+	if n := events(); n != 1 {
+		t.Fatalf("first report: %d events, want 1", n)
+	}
+	s.mu.Lock()
+	s.jobs[id].leaseUntil = time.Time{}
+	s.mu.Unlock()
+	s.progress(id, lj.attempt, 0, 200)
+	if n := events(); n != 0 {
+		t.Fatalf("repeated report: %d events, want 0", n)
+	}
+	if lease().IsZero() {
+		t.Fatal("repeated report did not renew the lease")
+	}
+	s.progress(id, lj.attempt, 1, 200)
+	if n := events(); n != 1 {
+		t.Fatalf("changed report: %d events, want 1", n)
+	}
+}
+
 // TestFailedAttemptRequeued: a failed attempt re-queues with backoff and a
 // later attempt can still succeed, clearing the transient error.
 func TestFailedAttemptRequeued(t *testing.T) {

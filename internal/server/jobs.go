@@ -400,8 +400,9 @@ func (s *jobStore) reclaimExpired(now time.Time) []context.CancelFunc {
 }
 
 // progress updates the completed/total counters of a running attempt and
-// renews its lease — progress is the heartbeat.  Stale attempts (a newer
-// lease exists) are ignored.
+// renews its lease — progress is the heartbeat.  Watchers hear of it only
+// when the counters change, so a stream never repeats a view.  Stale
+// attempts (a newer lease exists) are ignored.
 func (s *jobStore) progress(id string, attempt, done, total int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -409,9 +410,11 @@ func (s *jobStore) progress(id string, attempt, done, total int) {
 	if !ok || j.status != JobRunning || j.attempt != attempt {
 		return
 	}
-	j.done, j.total = done, total
 	j.leaseUntil = time.Now().Add(s.leaseTTL)
-	j.notify()
+	if j.done != done || j.total != total {
+		j.done, j.total = done, total
+		j.notify()
+	}
 }
 
 // watch subscribes to a job's lifecycle.  The returned channel yields

@@ -90,6 +90,7 @@ func TestRunProgramInvalid(t *testing.T) {
 		{"both", fmt.Sprintf(`{"asm":"halt","binary":%q}`, bin64), "mutually exclusive"},
 		{"parse error", `{"asm":"movi r1, @@"}`, "request:"},
 		{"malformed register", `{"asm":"addi r1x, r0, 5\nhalt"}`, `invalid register \"r1x\"`},
+		{"clflush index", `{"asm":"clflush [r1 + r2*8 + 0]\nhalt"}`, "index register"},
 		{"bad binary", `{"binary":"aGVsbG8="}`, "prog:"},
 		{"budget", fmt.Sprintf(`{"asm":"halt","max_cycles":%d}`, maxProgramCycles+1), "exceeds limit"},
 		{"bad config", `{"asm":"halt","config":{"nonsense":1}}`, "config:"},
