@@ -22,12 +22,18 @@ import (
 // synchronously at POST /v1/sweep or asynchronously via /v1/jobs, and
 // deterministic results are memoized in a content-addressed cache.
 //
+// A job attempt ends only by returning: done, failed, cancelled (DELETE or
+// shutdown) or cut off by --job-timeout.  A failed attempt is retried with
+// backoff, up to --max-attempts in all, unless it ran out of cycles or
+// deadlocked, which every attempt would.
+//
 // With --data-dir the service is crash-safe: results persist in a
 // content-addressed disk cache and jobs in an append-only journal, so a
-// killed process resumes its queue on the next boot and re-serves finished
-// results byte-identically.  The first SIGINT/SIGTERM drains gracefully
-// (bounded by --drain-timeout); a second signal force-exits immediately —
-// with a data dir that is safe, the journal replays on restart.
+// killed process re-runs its interrupted attempts on the next boot (still
+// bounded by --max-attempts) and re-serves finished results
+// byte-identically.  The first SIGINT/SIGTERM drains gracefully (bounded by
+// --drain-timeout); a second signal force-exits immediately — with a data
+// dir that is safe, the journal replays on restart.
 //
 // Prometheus metrics are served on GET /metrics; structured request and
 // job logs go to stderr (--log-format json for machine-readable lines,
@@ -45,7 +51,6 @@ func runServe(args []string) error {
 	dataDir := fs.String("data-dir", "", "state directory for the disk result cache and job journal (empty = in-memory only, nothing survives restarts)")
 	diskCacheMB := fs.Int64("disk-cache-mb", 256, "disk result-cache bound in MiB (with --data-dir)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound: time to finish in-flight requests and jobs after the first signal")
-	leaseTTL := fs.Duration("lease-ttl", time.Minute, "job lease: max time an attempt may run without reporting progress before the watchdog reclaims it")
 	jobTimeout := fs.Duration("job-timeout", 0, "hard bound on a single job attempt (0 = unbounded)")
 	maxAttempts := fs.Int("max-attempts", 3, "max execution attempts per job before it fails permanently")
 	logFormat := fs.String("log-format", "text", "request/job log encoding: text | json")
@@ -83,7 +88,6 @@ func runServe(args []string) error {
 		CacheEntries:   *cacheEntries,
 		DataDir:        *dataDir,
 		DiskCacheBytes: *diskCacheMB << 20,
-		LeaseTTL:       *leaseTTL,
 		JobTimeout:     *jobTimeout,
 		Retry:          server.RetryPolicy{MaxAttempts: *maxAttempts},
 		Logger:         logger,

@@ -177,16 +177,22 @@ func TestServeKill9Restart(t *testing.T) {
 
 	// Restart over the same state directory.
 	b2 := startServe(t, args...)
-	// (a) The journaled job is restored and runs to completion.
-	deadline = time.Now().Add(2 * time.Minute)
+	// (a) The journaled job is restored and runs to completion.  The wait
+	// follows the job's progress rather than the clock — under the race
+	// detector the campaign is slow, but it must keep moving.
+	const stallLimit = 60 * time.Second
+	lastDone, lastMove := -1, time.Now()
 	for {
 		code, _, jb := httpDo(t, "GET", b2.url("/v1/jobs/"+view.ID), "")
 		if code != http.StatusOK {
 			t.Fatalf("job lost across kill -9: %d %s", code, jb)
 		}
 		var v struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
+			Status   string `json:"status"`
+			Error    string `json:"error"`
+			Progress struct {
+				Done int `json:"done"`
+			} `json:"progress"`
 		}
 		if err := json.Unmarshal(jb, &v); err != nil {
 			t.Fatal(err)
@@ -197,8 +203,10 @@ func TestServeKill9Restart(t *testing.T) {
 		if v.Status == "failed" || v.Status == "cancelled" {
 			t.Fatalf("restored job ended %s: %s", v.Status, v.Error)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restored job never finished: %s", jb)
+		if v.Progress.Done != lastDone {
+			lastDone, lastMove = v.Progress.Done, time.Now()
+		} else if time.Since(lastMove) > stallLimit {
+			t.Fatalf("restored job made no progress for %v: %s", stallLimit, jb)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

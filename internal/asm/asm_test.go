@@ -207,6 +207,17 @@ func TestParseErrors(t *testing.T) {
 		{"bad equ name", ".equ 0 0", "bad symbol name"},
 		{"equ name with dash", ".equ a-b 1", "bad symbol name"},
 		{"overlong label", strings.Repeat("x", MaxSymbolLen+1) + ": halt", "bad symbol name"},
+		// Layout directives bind symbols in pass one, so their operands
+		// may not name a symbol defined further down.
+		{"zero forward", ".data 0x100000\n.zero n\nd: .u64 1\n.equ n 64\nhalt", `undefined symbol "n"`},
+		{"equ forward", ".equ a b\n.equ b 5\nhalt", `undefined symbol "b"`},
+		{"org forward", ".org base\nhalt\n.equ base 0x2000", `undefined symbol "base"`},
+		{"data forward", ".data buf\nhalt\n.equ buf 0x200000", `undefined symbol "buf"`},
+		{"align forward", ".align a\nhalt\n.equ a 64", `undefined symbol "a"`},
+		// A source register must be in the file its slot reads.
+		{"fp address base", "ld r1, [f2 + 0]\nhalt", "source register f2 is not a int register"},
+		{"fp jump target", "jr f2\nhalt", "source register f2 is not a int register"},
+		{"int source of fp op", "fadd f1, r2, f3\nhalt", "source register r2 is not a fp register"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -215,6 +226,38 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestParseForwardReferences: instruction operands and data words may
+// name symbols defined further down, and a layout directive may name one
+// defined above it; every symbol binds to where its bytes land.
+func TestParseForwardReferences(t *testing.T) {
+	p, err := Parse("t", `
+.equ n 64
+.data 0x100000
+.zero n
+d: .u64 later, end
+.equ later 5
+.equ m n
+	movi r1, later
+	jmp end
+end:
+	halt`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Symbols["d"] != 0x100040 || p.Symbols["m"] != 64 {
+		t.Fatalf("symbols = %v, want d at 0x100040 and m = 64", p.Symbols)
+	}
+	if len(p.Segments) != 1 || p.Segments[0].Addr != p.Symbols["d"] {
+		t.Fatalf("segments = %+v, want one at d", p.Segments)
+	}
+	if w := p.Segments[0].Data; w[0] != 5 || w[8] != byte(p.Symbols["end"]) {
+		t.Fatalf("data words = % x, want later (5) and end", w)
+	}
+	if p.Insts[0].Imm != 5 || p.Insts[1].Target != p.Symbols["end"] {
+		t.Fatalf("insts = %v, want the forward symbols resolved", p.Insts)
 	}
 }
 

@@ -303,7 +303,7 @@ func (p *parser) directive(line string) error {
 	}
 	switch dir {
 	case ".org":
-		v, err := p.immediate(rest)
+		v, err := p.layoutValue(rest)
 		if err != nil {
 			return err
 		}
@@ -314,14 +314,14 @@ func (p *parser) directive(line string) error {
 		p.pc = p.base
 		return nil
 	case ".data":
-		v, err := p.immediate(rest)
+		v, err := p.layoutValue(rest)
 		if err != nil {
 			return err
 		}
 		p.data = uint64(v)
 		return nil
 	case ".align":
-		v, err := p.immediate(rest)
+		v, err := p.layoutValue(rest)
 		if err != nil {
 			return err
 		}
@@ -336,13 +336,13 @@ func (p *parser) directive(line string) error {
 		if len(parts) != 2 {
 			return p.lineErr(".equ wants name and value")
 		}
-		v, err := p.immediate(parts[1])
+		v, err := p.layoutValue(parts[1])
 		if err != nil {
 			return err
 		}
 		return p.define(parts[0], uint64(v))
 	case ".zero":
-		v, err := p.immediate(rest)
+		v, err := p.layoutValue(rest)
 		if err != nil {
 			return err
 		}
@@ -414,6 +414,20 @@ func (p *parser) directive(line string) error {
 // immediate evaluates an integer literal or symbol.  During pass one symbols
 // may be unresolved; zero is substituted (only sizes matter in pass one).
 func (p *parser) immediate(s string) (int64, error) {
+	return p.value(s, p.pass == 1)
+}
+
+// layoutValue evaluates the operand of .org, .data, .align, .zero or .equ.
+// Pass one lays the program out and binds symbols with these values, so a
+// symbol they name must be defined above them: a forward reference would
+// read as zero in pass one and disagree with pass two.
+func (p *parser) layoutValue(s string) (int64, error) {
+	return p.value(s, false)
+}
+
+// value evaluates an integer literal or symbol; forward substitutes zero
+// for a symbol not defined yet.
+func (p *parser) value(s string, forward bool) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, p.lineErr("missing immediate")
@@ -428,7 +442,7 @@ func (p *parser) immediate(s string) (int64, error) {
 	} else if isIdent(s) {
 		sym, ok := p.syms[s]
 		if !ok {
-			if p.pass == 1 {
+			if forward {
 				return 0, nil
 			}
 			return 0, p.tokErr(s, "undefined symbol %q", s)

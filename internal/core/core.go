@@ -112,7 +112,7 @@ const DefaultProgramBudget = defaultBudget
 // progressChunk is the slice size RunProgramStatsCtx simulates between
 // cancellation checks and progress reports: large enough that the slicing
 // is invisible in the run-time profile, small enough that a cancel or a
-// lease heartbeat waits at most one slice (64K cycles of a tight loop take
+// progress report waits at most one slice (64K cycles of a tight loop take
 // 10-20 ms on a 2-vCPU Xeon host, about 0.35 s under the race detector).
 const progressChunk = 1 << 16
 

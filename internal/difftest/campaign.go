@@ -105,8 +105,9 @@ type Report struct {
 // across the sweep engine (SweepSeeds, honouring a sweep.Gate installed on
 // ctx — the server's worker budget), results aggregate in seed order, and
 // each divergent seed is minimized (ShrinkOncePerSeed) unless the spec opts
-// out.  A cancelled campaign returns the partial report plus the context
-// error.
+// out.  A campaign cancelled during its sweep or its shrink pass returns
+// the partial report plus the context error, so no caller mistakes it for
+// a finished one.
 func Run(ctx context.Context, spec CampaignSpec, opt sweep.Options) (Report, error) {
 	spec, cfgs, err := spec.Resolve()
 	if err != nil {
@@ -156,7 +157,9 @@ func Run(ctx context.Context, spec CampaignSpec, opt sweep.Options) (Report, err
 			d := &rep.Divergences[i]
 			failures[i] = Failure{Seed: d.Seed, Config: d.Config, Minimized: &d.Minimized}
 		}
-		ShrinkOncePerSeed(ctx, opt, popt, cfgs, failures, diverges)
+		if err := ShrinkOncePerSeed(ctx, popt, cfgs, failures, diverges); runErr == nil {
+			runErr = err
+		}
 	}
 	return rep, runErr
 }

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -232,7 +233,7 @@ func TestShrinkOncePerSeed(t *testing.T) {
 		shrunk[fmt.Sprintf("%d/%s", seed, nc.Name)] = true
 		return o.Len >= 3
 	}
-	ShrinkOncePerSeed(context.Background(), sweep.Options{Gate: gate}, proggen.DefaultOptions(), cfgs, failures, fails)
+	ShrinkOncePerSeed(sweep.WithGate(context.Background(), gate), proggen.DefaultOptions(), cfgs, failures, fails)
 
 	want := map[string]bool{"5/" + cfgs[1].Name: true, "7/" + cfgs[0].Name: true}
 	if !reflect.DeepEqual(shrunk, want) {
@@ -249,5 +250,43 @@ func TestShrinkOncePerSeed(t *testing.T) {
 	}
 	if gate.InFlight() != 0 {
 		t.Fatalf("%d gate slots still held", gate.InFlight())
+	}
+}
+
+// TestShrinkCancelledReportsError: a shrink pass that cancellation cuts
+// short returns the context's error, so a campaign cancelled after its last
+// seed cannot pass its unminimized report off as finished; the reduction
+// it cut short and every later failure stay unminimized.  A pass that runs
+// to the end returns nil.
+func TestShrinkCancelledReportsError(t *testing.T) {
+	cfgs := Matrix(false)[:1]
+	run := func(cancelAt int) ([2]*Reproducer, error) {
+		var mins [2]*Reproducer
+		failures := []Failure{
+			{Seed: 5, Config: cfgs[0].Name, Minimized: &mins[0]},
+			{Seed: 7, Config: cfgs[0].Name, Minimized: &mins[1]},
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		calls := 0
+		fails := func(seed int64, o proggen.Options, nc NamedConfig) bool {
+			if calls++; calls == cancelAt {
+				cancel()
+			}
+			return o.Len >= 3
+		}
+		err := ShrinkOncePerSeed(ctx, proggen.DefaultOptions(), cfgs, failures, fails)
+		return mins, err
+	}
+	mins, err := run(0)
+	if err != nil || mins[0] == nil || mins[1] == nil {
+		t.Fatalf("uncancelled pass: err %v, reproducers %+v", err, mins)
+	}
+	mins, err = run(1)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pass cancelled in its first shrink returned %v, want context.Canceled", err)
+	}
+	if mins[0] != nil || mins[1] != nil {
+		t.Fatalf("cancelled pass attached reproducers: %+v", mins)
 	}
 }

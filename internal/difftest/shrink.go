@@ -40,38 +40,40 @@ type Failure struct {
 // predicate — and that reproducer is attached to every failure of the
 // seed.  A failure whose configuration is not in cfgs (the reference
 // interpreter's "iss") is left alone.  Each shrink holds one slot of the
-// worker gate (opt.Gate, else the one ctx carries), like every other
-// simulation the server runs; a cancelled ctx ends the pass.
-func ShrinkOncePerSeed(ctx context.Context, opt sweep.Options, popt proggen.Options, cfgs []NamedConfig,
-	failures []Failure, fails func(seed int64, o proggen.Options, nc NamedConfig) bool) {
+// worker gate ctx carries, like every other simulation the server runs.
+// A cancelled ctx ends the pass with ctx.Err(): the reduction it cut short
+// and every later failure stay unminimized.
+func ShrinkOncePerSeed(ctx context.Context, popt proggen.Options, cfgs []NamedConfig,
+	failures []Failure, fails func(seed int64, o proggen.Options, nc NamedConfig) bool) error {
 	byName := make(map[string]NamedConfig, len(cfgs))
 	for _, nc := range cfgs {
 		byName[nc.Name] = nc
 	}
-	gate := opt.Gate
-	if gate == nil {
-		gate = sweep.GateFrom(ctx)
-	}
+	gate := sweep.GateFrom(ctx)
 	shrunk := make(map[int64]*Reproducer)
 	for _, f := range failures {
 		nc, ok := byName[f.Config]
-		if !ok || ctx.Err() != nil {
+		if !ok {
 			continue
 		}
 		repro, ok := shrunk[f.Seed]
 		if !ok {
 			if gate != nil && gate.Acquire(ctx) != nil {
-				continue // cancelled while waiting for a slot
+				return ctx.Err() // cancelled while waiting for a slot
 			}
 			reduced := ShrinkWith(ctx, popt, func(o proggen.Options) bool { return fails(f.Seed, o, nc) })
 			if gate != nil {
 				gate.Release()
+			}
+			if err := ctx.Err(); err != nil {
+				return err // the reduction may have stopped short
 			}
 			repro = NewReproducer(f.Seed, reduced, f.Config)
 			shrunk[f.Seed] = repro
 		}
 		*f.Minimized = repro
 	}
+	return nil
 }
 
 // ShrinkWith is the reduction loop over an arbitrary failure predicate:

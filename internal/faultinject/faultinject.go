@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic, seed-driven fault points for
 // the crash-safety layers: disk read/write errors, fsync failures, journal
-// write errors, injected worker panics and artificial job stalls.
+// write errors and injected worker panics.
 //
 // The points are compiled into the production paths but are provably inert
 // unless a plan is installed: every check starts with one atomic pointer
@@ -23,16 +23,15 @@
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
-// Point names one instrumented failure site.
+// Point names one instrumented failure site.  A point's number seeds its
+// fire pattern, so a point keeps its number for good.
 type Point uint8
 
 const (
@@ -41,7 +40,6 @@ const (
 	Fsync                     // any fsync (cache entries, journal records)
 	JournalWrite              // server job journal: append fails
 	WorkerPanic               // sweep engine: worker panics before running a job
-	JobStall                  // server job runner: stalls long enough to expire its lease
 	numPoints
 )
 
@@ -51,7 +49,6 @@ var pointNames = [numPoints]string{
 	Fsync:        "fsync",
 	JournalWrite: "journal.write",
 	WorkerPanic:  "worker.panic",
-	JobStall:     "job.stall",
 }
 
 func (p Point) String() string {
@@ -72,9 +69,6 @@ type PointConfig struct {
 type Config struct {
 	Seed   uint64
 	Points map[Point]PointConfig
-	// StallFor bounds each JobStall sleep (0 = 2s).  Stalls end early when
-	// the caller's context is cancelled — e.g. by a lease-expiry reclaim.
-	StallFor time.Duration
 }
 
 // plan is the installed runtime state.
@@ -132,25 +126,6 @@ func Err(pt Point) error {
 	return nil
 }
 
-// Stall sleeps for the plan's StallFor when point pt fires, returning early
-// if ctx is cancelled.  Inert when no plan is installed.
-func Stall(ctx context.Context, pt Point) {
-	p := active.Load()
-	if p == nil || !p.fire(pt) {
-		return
-	}
-	d := p.cfg.StallFor
-	if d <= 0 {
-		d = 2 * time.Second
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
 func (p *plan) fire(pt Point) bool {
 	pc, ok := p.cfg.Points[pt]
 	if !ok {
@@ -180,7 +155,7 @@ func splitmix64(x uint64) uint64 {
 
 // ParseEnv parses the SPECRUN_FAULTS knob:
 //
-//	seed=42;rate=16;first=0;points=disk.write,worker.panic;stall=500ms
+//	seed=42;rate=16;first=0;points=disk.write,worker.panic
 //
 // Fields are semicolon-separated.  rate/first apply to every listed point;
 // points is a comma-separated list of point names (see Point.String).  An
@@ -220,12 +195,6 @@ func ParseEnv(s string) (Config, bool, error) {
 				return cfg, false, fmt.Errorf("faultinject: first: %w", err)
 			}
 			pc.First = n
-		case "stall":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return cfg, false, fmt.Errorf("faultinject: stall: %w", err)
-			}
-			cfg.StallFor = d
 		case "points":
 			for _, name := range strings.Split(v, ",") {
 				name = strings.TrimSpace(name)

@@ -1,9 +1,7 @@
 package faultinject
 
 import (
-	"context"
 	"testing"
-	"time"
 )
 
 func TestInertWhenDisabled(t *testing.T) {
@@ -18,12 +16,6 @@ func TestInertWhenDisabled(t *testing.T) {
 		if err := Err(pt); err != nil {
 			t.Fatalf("%s errored while disabled: %v", pt, err)
 		}
-	}
-	// Stall must return immediately when disabled.
-	start := time.Now()
-	Stall(context.Background(), JobStall)
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("disabled stall slept %v", d)
 	}
 }
 
@@ -96,27 +88,12 @@ func TestErrIsInjected(t *testing.T) {
 	}
 }
 
-func TestStallRespectsContext(t *testing.T) {
-	Enable(Config{StallFor: time.Minute, Points: map[Point]PointConfig{JobStall: {First: 1}}})
-	defer Disable()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	Stall(ctx, JobStall)
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("cancelled stall slept %v", d)
-	}
-}
-
 func TestParseEnv(t *testing.T) {
-	cfg, on, err := ParseEnv("seed=7;rate=8;points=disk.write,worker.panic;stall=250ms")
+	cfg, on, err := ParseEnv("seed=7;rate=8;points=disk.write,worker.panic")
 	if err != nil || !on {
 		t.Fatalf("parse: on=%v err=%v", on, err)
 	}
-	if cfg.Seed != 7 || cfg.StallFor != 250*time.Millisecond {
+	if cfg.Seed != 7 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	for _, pt := range []Point{DiskWrite, WorkerPanic} {
@@ -128,15 +105,31 @@ func TestParseEnv(t *testing.T) {
 		t.Fatalf("empty env: on=%v err=%v", on, err)
 	}
 	for _, bad := range []string{
-		"rate=8",                      // no points
-		"points=disk.write",           // no rule
-		"seed=x;rate=1;points=fsync",  // bad number
-		"rate=1;points=nope",          // unknown point
-		"bogus",                       // not key=value
-		"rate=1;points=fsync;what=no", // unknown key
+		"rate=8",                       // no points
+		"points=disk.write",            // no rule
+		"seed=x;rate=1;points=fsync",   // bad number
+		"rate=1;points=nope",           // unknown point
+		"bogus",                        // not key=value
+		"rate=1;points=fsync;what=no",  // unknown key
+		"rate=1;points=fsync;stall=1s", // the stall point and its key are gone
+		"rate=1;points=job.stall",
 	} {
 		if _, _, err := ParseEnv(bad); err == nil {
 			t.Fatalf("ParseEnv(%q) accepted", bad)
 		}
+	}
+}
+
+// TestPointNumbersFixed: a point's number seeds its fire pattern, so a
+// seeded plan fires on the same hits only while every point keeps its
+// number.
+func TestPointNumbersFixed(t *testing.T) {
+	for want, name := range []string{"disk.write", "disk.read", "fsync", "journal.write", "worker.panic"} {
+		if pt, err := pointByName(name); err != nil || int(pt) != want {
+			t.Errorf("point %q = %d, %v; want %d", name, pt, err, want)
+		}
+	}
+	if numPoints != 5 {
+		t.Errorf("numPoints = %d, want 5", numPoints)
 	}
 }

@@ -81,17 +81,17 @@ func (in Inst) Validate() error {
 			return fmt.Errorf("isa: %s: invalid source register %s", in.Op, r)
 		}
 	}
-	if in.Op.IsStore() && in.Op.Kind() == KindStore {
-		want := ClassInt
-		switch in.Op {
-		case FST:
-			want = ClassFP
-		case VST:
-			want = ClassVec
+	// Every source is in the file its slot reads; an absent index (the only
+	// source that may be NoReg once the loop above passed) reads nothing.
+	for i, r := range [3]Reg{in.Rs1, in.Rs2, in.Rs3} {
+		want := srcClasses[in.Op][i]
+		if want == ClassNone || r == NoReg || r.Class() == want {
+			continue
 		}
-		if in.Rs3.Class() != want {
-			return fmt.Errorf("isa: %s: store data register %s is not a %s register", in.Op, in.Rs3, want)
+		if i == 2 {
+			return fmt.Errorf("isa: %s: store data register %s is not a %s register", in.Op, r, want)
 		}
+		return fmt.Errorf("isa: %s: source register %s is not a %s register", in.Op, r, want)
 	}
 	return nil
 }

@@ -204,6 +204,11 @@ func TestInstValidate(t *testing.T) {
 		{Op: VST, Rs1: R(1), Rs3: V(2)},
 		{Op: CALL, Target: 0x1000},
 		{Op: NOP},
+		{Op: FADD, Rd: F(1), Rs1: F(2), Rs2: F(3)},
+		{Op: VXORQ, Rd: V(1), Rs1: V(2), Rs2: V(3)},
+		{Op: FLD, Rd: F(1), Rs1: R(2), Rs2: R(3), Scale: 3},
+		{Op: BEQ, Rs1: R(1), Rs2: R(0), Target: 0x1000},
+		{Op: CALLR, Rs1: R(4)},
 	}
 	for _, in := range good {
 		if err := in.Validate(); err != nil {
@@ -218,6 +223,17 @@ func TestInstValidate(t *testing.T) {
 		{Op: ST, Rs1: R(1), Rs3: F(2)}, // wrong store data class
 		{Op: FST, Rs1: R(1), Rs3: R(2)},
 		{Op: CLFLUSH, Rs1: R(1), Rs2: R(2), Scale: 3}, // flushes rs1+imm: no index
+		// Source register files: addresses, branches and jr/callr read
+		// integers; an ALU source is in its destination's file.
+		{Op: LD, Rd: R(1), Rs1: F(2)},
+		{Op: LDX, Rd: R(1), Rs1: R(2), Rs2: V(3)},
+		{Op: FST, Rs1: F(1), Rs3: F(2)},
+		{Op: JR, Rs1: F(2)},
+		{Op: CALLR, Rs1: V(2)},
+		{Op: BNE, Rs1: R(1), Rs2: F(2), Target: 0x1000},
+		{Op: FADD, Rd: F(1), Rs1: R(2), Rs2: F(3)},
+		{Op: ADDI, Rd: R(1), Rs1: F(2)},
+		{Op: VADDQ, Rd: V(1), Rs1: V(2), Rs2: R(3)},
 	}
 	for _, in := range bad {
 		if err := in.Validate(); err == nil {

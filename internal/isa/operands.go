@@ -79,6 +79,42 @@ var srcFlags = func() (t [256]uint8) {
 	return t
 }()
 
+// srcClasses caches, per opcode, the register file each source field —
+// rs1, rs2, rs3 — must name (ClassNone: not a source), read off its operand
+// slots, so Validate checks classes with one table load.  An address's base
+// and index, a branch's operands and the target of jr and callr are
+// integers; an ALU source is in its destination's file; store data is in
+// the file of the store's width.
+var srcClasses = func() (t [256][3]RegClass) {
+	for op := range t {
+		o := Opcode(op)
+		src := ClassInt
+		if o.Kind() == KindALU {
+			src = o.DestClass()
+		}
+		data := ClassInt
+		switch o {
+		case FST:
+			data = ClassFP
+		case VST:
+			data = ClassVec
+		}
+		for _, slot := range o.Operands() {
+			switch slot {
+			case OperandRs1:
+				t[op][0] = src
+			case OperandRs2:
+				t[op][1] = src
+			case OperandRs3:
+				t[op][2] = data
+			case OperandMem:
+				t[op][0], t[op][1] = ClassInt, ClassInt
+			}
+		}
+	}
+	return t
+}()
+
 // Format renders the instruction in the text assembler's syntax.  symAt,
 // when non-nil, names a target address with a code label ("" for none);
 // every other operand is numeric.  A float immediate prints exactly, as a

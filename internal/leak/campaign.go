@@ -53,7 +53,9 @@ func Options(spec difftest.CampaignSpec) proggen.Options {
 // attack corpus first (every PoC variant against every matrix
 // configuration), then the generated-seed sweep (difftest.SweepSeeds,
 // honouring a sweep.Gate on ctx), then the engine's shrink pass over the
-// leaky seeds unless the spec opts out.
+// leaky seeds unless the spec opts out.  A campaign cancelled during its
+// sweep or its shrink pass returns the partial report plus the context
+// error.
 func Run(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options) (Report, error) {
 	spec, cfgs, err := spec.Resolve()
 	if err != nil {
@@ -112,7 +114,9 @@ func Run(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options) (Re
 				failures = append(failures, difftest.Failure{Seed: f.Seed, Config: f.Config, Minimized: &f.Minimized})
 			}
 		}
-		difftest.ShrinkOncePerSeed(ctx, opt, popt, cfgs, failures, leaks)
+		if err := difftest.ShrinkOncePerSeed(ctx, popt, cfgs, failures, leaks); runErr == nil {
+			runErr = err
+		}
 	}
 	return rep, runErr
 }

@@ -3,6 +3,7 @@ package leak
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -48,6 +49,33 @@ func TestCampaignFindsLeaks(t *testing.T) {
 			t.Errorf("seed %d/%s: leak without minimized reproducer", f.Seed, f.Config)
 		} else if f.Minimized.Options.SecretBytes != DefaultSecretBytes {
 			t.Errorf("seed %d/%s: shrinker dropped the secret region: %+v", f.Seed, f.Config, f.Minimized.Options)
+		}
+	}
+}
+
+// TestCampaignCancelledInShrinkReportsError: a campaign cancelled after its
+// last seed, while its shrink pass still has leaky seeds to minimize,
+// returns the partial report with the context's error — the error a
+// cancelled sweep returns — so no caller caches its unminimized findings
+// as the finished report.
+func TestCampaignCancelledInShrinkReportsError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := difftest.CampaignSpec{Seeds: 40, Leaks: true}
+	rep, err := Run(ctx, spec, sweep.Options{Workers: 2, OnProgress: func(done, total int) {
+		if done == total {
+			cancel()
+		}
+	}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("campaign cancelled before its shrink pass returned %v, want context.Canceled", err)
+	}
+	if rep.Leaks == 0 || rep.Runs != spec.Seeds*rep.Configs {
+		t.Fatalf("partial report lost the finished sweep: %d leaks over %d runs", rep.Leaks, rep.Runs)
+	}
+	for _, f := range rep.Findings {
+		if f.Minimized != nil {
+			t.Fatalf("seed %d/%s minimized after cancellation", f.Seed, f.Config)
 		}
 	}
 }

@@ -194,6 +194,24 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	i := len(prog.Magic) + 2 + 2 + 1 + 2
 	flush[i], flush[i+1] = flush[i-1]+1, 3
+	// A register byte is class<<6 | index.  wrongFile encodes src and moves
+	// the first operand byte that names reg (its instruction's operands
+	// start after the header and opcode byte) into register file class.
+	wrongFile := func(src string, reg isa.Reg, class isa.RegClass) []byte {
+		bin, err := prog.Encode(asm.MustParse("t", src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := byte(reg.Class())<<6 | byte(reg.Idx())
+		for j := len(prog.Magic) + 2 + 2 + 1 + 1; j < len(bin); j++ {
+			if bin[j] == want {
+				bin[j] = byte(class)<<6 | byte(reg.Idx())
+				return bin
+			}
+		}
+		t.Fatalf("%q: no operand byte for %s", src, reg)
+		return nil
+	}
 	cases := []struct {
 		name string
 		bin  []byte
@@ -205,6 +223,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"trailing bytes", append(append([]byte{}, good...), 0), "trailing"},
 		{"truncated", good[:len(good)-1], "varint"},
 		{"clflush index", flush, "index register"},
+		{"fp address base", wrongFile("ld r1, [r2 + 0]\nhalt", isa.R(2), isa.ClassFP), "source register f2"},
+		{"fp jump target", wrongFile("jr r2\nhalt", isa.R(2), isa.ClassFP), "source register f2"},
+		{"int source of fp op", wrongFile("fadd f1, f2, f3\nhalt", isa.F(2), isa.ClassInt), "source register r2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,10 +24,9 @@ const chaosSpec = `{"fuzz": {"seeds": 500, "len": 40, "workers": 2}}`
 func chaosServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(Options{
-		Workers:       2,
-		DataDir:       dir,
-		SchedInterval: 20 * time.Millisecond,
-		Logger:        slog.New(slog.DiscardHandler),
+		Workers: 2,
+		DataDir: dir,
+		Logger:  slog.New(slog.DiscardHandler),
 	})
 	ts := httptest.NewServer(s.Handler())
 	return s, ts
@@ -231,52 +231,81 @@ func TestFaultsInertWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestJobStallLeaseRecovery injects an artificial stall long enough to
-// expire the lease and proves the watchdog reclaims and the retry attempt
-// completes the job.
-func TestJobStallLeaseRecovery(t *testing.T) {
-	faultinject.Enable(faultinject.Config{
-		Seed: 7,
-		Points: map[faultinject.Point]faultinject.PointConfig{
-			faultinject.JobStall: {First: 1}, // exactly the first attempt stalls
-		},
-		StallFor: 10 * time.Second,
-	})
+// TestInjectedWorkerPanicsRetried: the chaos contract at the job level.  A
+// worker panic injected into the first attempt of a Fig. 7 job fails that
+// attempt, the retry policy re-runs the whole job once its backoff
+// elapses, and the result is byte-identical to a fault-free synchronous
+// run.
+func TestInjectedWorkerPanicsRetried(t *testing.T) {
+	_, refTS := newTestServer(t)
+	code, _, ref := do(t, "POST", refTS.URL+"/v1/run/ipc", "{}")
+	if code != http.StatusOK {
+		t.Fatalf("reference run: %d %s", code, ref)
+	}
+
+	faultinject.Enable(faultinject.Config{Points: map[faultinject.Point]faultinject.PointConfig{
+		faultinject.WorkerPanic: {First: 1},
+	}})
 	defer faultinject.Disable()
-
-	s := New(Options{
-		Workers:       2,
-		LeaseTTL:      time.Second,
-		SchedInterval: 20 * time.Millisecond,
-		Retry:         RetryPolicy{BaseDelay: 10 * time.Millisecond, Jitter: -1},
-		Logger:        slog.New(slog.DiscardHandler),
-	})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-
-	// Warm the cache first: the retried attempt then completes instantly,
-	// so the test exercises stall → expiry → reclaim → retry, not raw
-	// simulation speed against the lease clock.
-	if code, _, body := do(t, "POST", ts.URL+"/v1/run/fig9", "{}"); code != http.StatusOK {
-		t.Fatalf("warm run: %d %s", code, body)
+	_, ts := newTestServerOpts(t, Options{Retry: RetryPolicy{BaseDelay: 10 * time.Millisecond, Jitter: -1}})
+	id := submitJob(t, ts.URL, `{"driver": "ipc"}`)
+	if v := pollJob(t, ts.URL, id); v.Status != JobDone || v.Attempts != 2 {
+		t.Fatalf("job after an injected panic: %s after %d attempts (%.200s), want done after 2", v.Status, v.Attempts, v.Error)
 	}
-
-	code, _, body := do(t, "POST", ts.URL+"/v1/jobs", `{"driver": "fig9"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", code, body)
+	code, _, got := do(t, "GET", ts.URL+"/v1/jobs/"+id+"/result", "")
+	if code != http.StatusOK || string(got) != string(ref) {
+		t.Fatalf("retried result: %d, identical to the synchronous body: %v", code, string(got) == string(ref))
 	}
-	var view JobView
-	if err := json.Unmarshal(body, &view); err != nil {
+	if st := getStats(t, ts.URL).Jobs; st.Retries != 1 {
+		t.Fatalf("retries = %d, want 1", st.Retries)
+	}
+}
+
+// TestRetryExhaustsMaxAttempts: a retryable failure that recurs on every
+// attempt re-runs the job, each retry started by its backoff timer, until
+// MaxAttempts; the job then fails with the last attempt's error.
+func TestRetryExhaustsMaxAttempts(t *testing.T) {
+	faultinject.Enable(faultinject.Config{Points: map[faultinject.Point]faultinject.PointConfig{
+		faultinject.WorkerPanic: {Rate: 1}, // every hit
+	}})
+	defer faultinject.Disable()
+	_, ts := newTestServerOpts(t, Options{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, Jitter: -1}})
+	id := submitJob(t, ts.URL, `{"driver": "ipc"}`)
+	if v := pollJob(t, ts.URL, id); v.Status != JobFailed || v.Attempts != 3 || !strings.Contains(v.Error, "injected worker panic") {
+		t.Fatalf("job failing on every attempt: %s after %d attempts (%.200s), want failed after 3", v.Status, v.Attempts, v.Error)
+	}
+	if st := getStats(t, ts.URL).Jobs; st.Retries != 2 || st.Failed != 1 {
+		t.Fatalf("stats: %+v, want 2 retries and 1 failed job", st)
+	}
+}
+
+// TestRetryTimerAfterCloseStartsNothing: a job backing off when the server
+// closes stays pending on the same attempt after its retry timer fires;
+// the closed store grants no lease.
+func TestRetryTimerAfterCloseStartsNothing(t *testing.T) {
+	faultinject.Enable(faultinject.Config{Points: map[faultinject.Point]faultinject.PointConfig{
+		faultinject.WorkerPanic: {First: 1},
+	}})
+	defer faultinject.Disable()
+	s := New(Options{Retry: RetryPolicy{BaseDelay: 300 * time.Millisecond, Jitter: -1}, Logger: slog.New(slog.DiscardHandler)})
+	view, err := s.startJob(JobRequest{Driver: "ipc"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	final := pollJob(t, ts.URL, view.ID)
-	if final.Status != JobDone || final.Attempts < 2 {
-		t.Fatalf("stalled job did not recover via retry: %+v", final)
+	var due time.Time
+	waitFor(t, "the first attempt to fail", func() bool {
+		s.jobs.mu.Lock()
+		defer s.jobs.mu.Unlock()
+		j := s.jobs.jobs[view.ID]
+		due = j.nextRunAt
+		return j.status == JobPending && j.attempt == 1
+	})
+	s.Close()
+	time.Sleep(time.Until(due) + 200*time.Millisecond)
+	if v, _ := s.jobs.get(view.ID); v.Status != JobPending || v.Attempts != 1 {
+		t.Fatalf("after Close and the retry's due time: %s after %d attempts, want pending after 1", v.Status, v.Attempts)
 	}
-	if st := s.jobs.stats(); st.LeaseExpiries == 0 {
-		t.Fatalf("no lease expiry recorded: %+v", st)
+	if _, ok := s.jobs.leaseNext(time.Now(), testCtx); ok {
+		t.Fatal("a closed store granted a lease")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,114 +63,46 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryReclaim drives the lease watchdog with an explicit clock:
-// an attempt that stops heartbeating is reclaimed and re-queued until its
-// attempts are exhausted, at which point the job fails terminally.
-func TestLeaseExpiryReclaim(t *testing.T) {
-	s := newJobStore()
-	s.policy = RetryPolicy{MaxAttempts: 2, Jitter: -1}.withDefaults()
-	s.leaseTTL = time.Minute
-
-	t0 := time.Now()
-	id := s.create("fig9", JobRequest{})
-
-	var cancelled atomic.Int32
-	lj, ok := s.leaseNext(t0, func() (context.Context, context.CancelFunc) {
-		ctx, cancel := context.WithCancel(context.Background())
-		return ctx, func() { cancelled.Add(1); cancel() }
-	})
-	if !ok || lj.id != id || lj.attempt != 1 {
-		t.Fatalf("first lease: %+v %v", lj, ok)
-	}
-
-	// Before the deadline the watchdog leaves the lease alone.
-	if got := s.reclaimExpired(t0.Add(59 * time.Second)); len(got) != 0 {
-		t.Fatalf("reclaimed a live lease: %d cancels", len(got))
-	}
-	// Past the deadline the attempt is cancelled and the job re-queued.
-	for _, c := range s.reclaimExpired(t0.Add(61 * time.Second)) {
-		c()
-	}
-	if cancelled.Load() != 1 {
-		t.Fatalf("cancel invocations = %d, want 1", cancelled.Load())
-	}
-	v, _ := s.get(id)
-	if v.Status != JobPending || v.Attempts != 1 {
-		t.Fatalf("after first expiry: %+v", v)
-	}
-	if st := s.stats(); st.LeaseExpiries != 1 || st.Retries != 1 {
-		t.Fatalf("stats after first expiry: %+v", st)
-	}
-
-	// The retry is delayed by the backoff schedule.
-	t1 := t0.Add(61 * time.Second)
-	if _, ok := s.leaseNext(t1, testCtx); ok {
-		t.Fatal("leased a backing-off job")
-	}
-	t2 := t1.Add(s.policy.delay(id, 1))
-	lj, ok = s.leaseNext(t2, testCtx)
-	if !ok || lj.attempt != 2 {
-		t.Fatalf("second lease: %+v %v", lj, ok)
-	}
-
-	// Expiring the final attempt fails the job permanently.
-	for _, c := range s.reclaimExpired(t2.Add(2 * time.Minute)) {
-		c()
-	}
-	v, _ = s.get(id)
-	if v.Status != JobFailed || !strings.Contains(v.Error, "lease expired after 2 attempts") {
-		t.Fatalf("after final expiry: %+v", v)
-	}
-	if _, ok := s.leaseNext(t2.Add(3*time.Minute), testCtx); ok {
-		t.Fatal("leased a terminally failed job")
-	}
-}
-
-// TestFinishStaleAttempt: a reclaimed attempt's late report must not
-// clobber the newer lease — only the current attempt may move the job.
+// TestFinishStaleAttempt: an attempt whose job DELETE already cancelled
+// reports late; its report must not move the job out of cancelled — only
+// the partial result it salvaged attaches, once — and later progress is
+// dropped.
 func TestFinishStaleAttempt(t *testing.T) {
 	s := newJobStore()
 	s.policy = RetryPolicy{Jitter: -1}.withDefaults()
-	s.leaseTTL = time.Minute
 
-	t0 := time.Now()
 	id := s.create("fig9", JobRequest{})
-	lj1, _ := s.leaseNext(t0, testCtx)
-	for _, c := range s.reclaimExpired(t0.Add(2 * time.Minute)) {
-		c()
+	if _, ok := s.leaseNext(time.Now(), testCtx); !ok {
+		t.Fatal("no lease")
 	}
-	t1 := t0.Add(2*time.Minute + s.policy.delay(id, 1))
-	lj2, ok := s.leaseNext(t1, testCtx)
-	if !ok || lj2.attempt != 2 {
-		t.Fatalf("second lease: %+v %v", lj2, ok)
-	}
+	s.cancelJob(id)
 
-	// The zombie first attempt reports success late: dropped.
-	s.finish(id, lj1.attempt, "", []byte(`{"stale":true}`), nil, false)
-	if v, _ := s.get(id); v.Status != JobRunning || len(v.Result) != 0 {
-		t.Fatalf("stale finish applied: %+v", v)
+	// The cancelled attempt reports success late: the status stays, the
+	// salvaged body attaches, and nothing is re-queued.
+	if at := s.finish(id, "key", []byte(`{"partial":true}`), nil); !at.IsZero() {
+		t.Fatalf("stale finish re-queued the job for %v", at)
 	}
-	// The live attempt's report lands.
-	s.finish(id, lj2.attempt, "key", []byte(`{"ok":true}`), nil, false)
-	v, _ := s.get(id)
-	if v.Status != JobDone || string(v.Result) != `{"ok":true}` || v.Error != "" {
-		t.Fatalf("live finish: %+v", v)
+	if v, _ := s.get(id); v.Status != JobCancelled || string(v.Result) != `{"partial":true}` {
+		t.Fatalf("stale finish: %+v", v)
+	}
+	// A second late report cannot replace it, nor a failure revive the job.
+	s.finish(id, "", []byte(`{"again":true}`), errors.New("boom"))
+	if v, _ := s.get(id); v.Status != JobCancelled || string(v.Result) != `{"partial":true}` || v.Error != "" {
+		t.Fatalf("second stale finish: %+v", v)
 	}
 	// Stale progress after terminal is also dropped.
-	s.progress(id, lj2.attempt, 5, 10)
-	if v, _ := s.get(id); v.Progress.Done != v.Progress.Total {
+	s.progress(id, 5, 10)
+	if v, _ := s.get(id); v.Progress.Done == 5 {
 		t.Fatalf("progress applied after terminal: %+v", v)
 	}
 }
 
-// TestProgressNotifiesOnChange: every progress report renews the lease (it
-// is the heartbeat), but watchers hear only a changed count, so an SSE
-// stream never repeats a view.
+// TestProgressNotifiesOnChange: watchers hear only a changed count, so an
+// SSE stream never repeats a view.
 func TestProgressNotifiesOnChange(t *testing.T) {
 	s := newJobStore()
 	id := s.create("program", JobRequest{})
-	lj, ok := s.leaseNext(time.Now(), testCtx)
-	if !ok {
+	if _, ok := s.leaseNext(time.Now(), testCtx); !ok {
 		t.Fatal("no lease")
 	}
 	ch, stop, _ := s.watch(id)
@@ -186,26 +117,15 @@ func TestProgressNotifiesOnChange(t *testing.T) {
 			}
 		}
 	}
-	lease := func() time.Time {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.jobs[id].leaseUntil
-	}
-	s.progress(id, lj.attempt, 0, 200)
+	s.progress(id, 0, 200)
 	if n := events(); n != 1 {
 		t.Fatalf("first report: %d events, want 1", n)
 	}
-	s.mu.Lock()
-	s.jobs[id].leaseUntil = time.Time{}
-	s.mu.Unlock()
-	s.progress(id, lj.attempt, 0, 200)
+	s.progress(id, 0, 200)
 	if n := events(); n != 0 {
 		t.Fatalf("repeated report: %d events, want 0", n)
 	}
-	if lease().IsZero() {
-		t.Fatal("repeated report did not renew the lease")
-	}
-	s.progress(id, lj.attempt, 1, 200)
+	s.progress(id, 1, 200)
 	if n := events(); n != 1 {
 		t.Fatalf("changed report: %d events, want 1", n)
 	}
@@ -219,8 +139,8 @@ func TestFailedAttemptRequeued(t *testing.T) {
 
 	t0 := time.Now()
 	id := s.create("fig9", JobRequest{})
-	lj, _ := s.leaseNext(t0, testCtx)
-	s.finish(id, lj.attempt, "", nil, errors.New("injected fault"), false)
+	s.leaseNext(t0, testCtx)
+	s.finish(id, "", nil, errors.New("injected fault"))
 
 	v, _ := s.get(id)
 	if v.Status != JobPending || v.Error != "injected fault" {
@@ -233,7 +153,7 @@ func TestFailedAttemptRequeued(t *testing.T) {
 	if !ok || lj.attempt != 2 {
 		t.Fatalf("retry lease: %+v %v", lj, ok)
 	}
-	s.finish(id, lj.attempt, "", []byte(`{}`), nil, false)
+	s.finish(id, "", []byte(`{}`), nil)
 	v, _ = s.get(id)
 	if v.Status != JobDone || v.Error != "" || v.Attempts != 2 {
 		t.Fatalf("after recovery: %+v", v)
@@ -259,8 +179,8 @@ func TestDeterministicFailureFinal(t *testing.T) {
 			s := newJobStore()
 			s.policy = RetryPolicy{Jitter: -1}.withDefaults()
 			id := s.create("program", JobRequest{})
-			lj, _ := s.leaseNext(time.Now(), testCtx)
-			s.finish(id, lj.attempt, "", nil, tc.err, false)
+			s.leaseNext(time.Now(), testCtx)
+			s.finish(id, "", nil, tc.err)
 			v, _ := s.get(id)
 			want := JobPending
 			if tc.final {
@@ -294,16 +214,15 @@ func TestJournalRestore(t *testing.T) {
 	a.journal = jnl
 
 	doneID := a.create("fig9", JobRequest{RunRequest: RunRequest{Workers: 1}})
-	lj, _ := a.leaseNext(time.Now(), testCtx)
-	a.finish(doneID, lj.attempt, "cachekey", []byte(`{"answer":42}`), nil, false)
+	a.leaseNext(time.Now(), testCtx)
+	a.finish(doneID, "cachekey", []byte(`{"answer":42}`), nil)
 
 	failedID := a.create("fig10", JobRequest{})
 	for i := 0; i < 2; i++ {
-		lj, ok := a.leaseNext(time.Now().Add(time.Hour), testCtx)
-		if !ok {
+		if _, ok := a.leaseNext(time.Now().Add(time.Hour), testCtx); !ok {
 			t.Fatalf("lease %d of failing job", i)
 		}
-		a.finish(failedID, lj.attempt, "", nil, errors.New("boom"), false)
+		a.finish(failedID, "", nil, errors.New("boom"))
 	}
 
 	cancelledID := a.create("fig9", JobRequest{})
@@ -565,4 +484,73 @@ func mustView(t *testing.T, base, id string) JobView {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// TestRestoredRetryStartsWhenDue: a job restored from a retry record whose
+// backoff has not elapsed stays pending until it does; then its timer, not
+// a periodic tick, starts the next attempt.
+func TestRestoredRetryStartsWhenDue(t *testing.T) {
+	dir := t.TempDir()
+	req, err := json.Marshal(JobRequest{Driver: "fig9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	due := time.Now().Add(300 * time.Millisecond)
+	var jnl []byte
+	for _, r := range []journalRecord{
+		{T: recSubmit, Job: "j1", At: nowMilli(time.Now()), Kind: "fig9", Req: req},
+		{T: recLease, Job: "j1", Attempt: 1},
+		{T: recRetry, Job: "j1", Attempt: 1, Error: "boom", Next: nowMilli(due)},
+	} {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl = append(append(jnl, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), jnl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{DataDir: dir, Logger: slog.New(slog.DiscardHandler)})
+	defer s.Close()
+	for {
+		v, _ := s.jobs.get("j1")
+		if !time.Now().Before(due.Add(-10 * time.Millisecond)) {
+			break
+		}
+		if v.Status != JobPending || v.Attempts != 1 {
+			t.Fatalf("before its backoff elapsed: %s after %d attempts, want pending after 1", v.Status, v.Attempts)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitFor(t, "the restored retry to finish", func() bool {
+		v, _ := s.jobs.get("j1")
+		return terminalJobStatus(v.Status)
+	})
+	if v, _ := s.jobs.get("j1"); v.Status != JobDone || v.Attempts != 2 {
+		t.Fatalf("restored retry: %s after %d attempts (%s), want done after 2", v.Status, v.Attempts, v.Error)
+	}
+}
+
+// TestQueuedJobsRunOnce: with no job timeout, a job queued behind the
+// worker gate has no clock running against it.  Eight Fig. 7 jobs, each
+// with its own ROB size and so its own simulation, wait behind one worker
+// and all finish on their first attempt.
+func TestQueuedJobsRunOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eight serial Fig. 7 simulations")
+	}
+	_, ts := newTestServerOpts(t, Options{Workers: 1})
+	var ids []string
+	for i := 0; i < 8; i++ {
+		ids = append(ids, submitJob(t, ts.URL, fmt.Sprintf(`{"driver": "ipc", "config": {"rob_size": %d}}`, 64+16*i)))
+	}
+	for _, id := range ids {
+		if v := pollJob(t, ts.URL, id); v.Status != JobDone || v.Attempts != 1 {
+			t.Fatalf("queued job %s: %s after %d attempts (%s), want done after 1", id, v.Status, v.Attempts, v.Error)
+		}
+	}
+	if st := getStats(t, ts.URL).Jobs; st.Retries != 0 {
+		t.Fatalf("retries = %d, want 0", st.Retries)
+	}
 }

@@ -15,10 +15,10 @@ import (
 	"specrun/internal/cpu"
 )
 
-// Job statuses.  A job is born pending, is leased into running by the
-// scheduler (usually immediately — the worker budget, not the queue, bounds
-// concurrency), may bounce back to pending on a failed attempt or an
-// expired lease, and ends in exactly one of done, failed or cancelled.
+// Job statuses.  A job is born pending, is leased into running at once (the
+// worker budget, not the queue, bounds concurrency), may bounce back to
+// pending on a failed attempt, and ends in exactly one of done, failed or
+// cancelled.
 const (
 	JobPending   = "pending"
 	JobRunning   = "running"
@@ -50,14 +50,13 @@ type JobView struct {
 
 // JobStats summarises the store for GET /v1/stats.
 type JobStats struct {
-	Submitted     int    `json:"submitted"`
-	Pending       int    `json:"pending"`
-	Running       int    `json:"running"`
-	Done          int    `json:"done"`
-	Failed        int    `json:"failed"`
-	Cancelled     int    `json:"cancelled"`
-	Retries       uint64 `json:"retries"`        // attempts re-queued after a failure
-	LeaseExpiries uint64 `json:"lease_expiries"` // leases reclaimed by the watchdog
+	Submitted int    `json:"submitted"`
+	Pending   int    `json:"pending"`
+	Running   int    `json:"running"`
+	Done      int    `json:"done"`
+	Failed    int    `json:"failed"`
+	Cancelled int    `json:"cancelled"`
+	Retries   uint64 `json:"retries"` // attempts re-queued after a failure
 }
 
 // RetryPolicy governs re-execution of failed job attempts.  Every
@@ -133,10 +132,6 @@ func retryable(err error) bool {
 	return !errors.Is(err, cpu.ErrMaxCycles) && !errors.Is(err, cpu.ErrDeadlock)
 }
 
-// defaultLeaseTTL is how long an attempt may run without renewing its lease
-// (progress callbacks renew) before the watchdog reclaims the job.
-const defaultLeaseTTL = 60 * time.Second
-
 // jobEvent is one SSE-observable transition: a view snapshot tagged with
 // the job's monotonic sequence number (the SSE event id, so clients can
 // resume with Last-Event-ID).
@@ -159,13 +154,12 @@ type job struct {
 
 	// Durable-execution state: req re-dispatches the job on retry or
 	// resume; attempt counts leases taken; nextRunAt delays a retried
-	// pending job; leaseUntil is the running attempt's deadline;
-	// cancelRequested marks a user DELETE (vs a server shutdown); corrupt
-	// marks a journal-restored job whose request no longer parses.
+	// pending job; cancelRequested marks a user DELETE (vs a server
+	// shutdown); corrupt marks a journal-restored job whose request no
+	// longer parses.
 	req             JobRequest
 	attempt         int
 	nextRunAt       time.Time
-	leaseUntil      time.Time
 	cancelRequested bool
 	corrupt         bool
 
@@ -222,10 +216,11 @@ type jobStore struct {
 	nextID    int
 	submitted int // lifetime submissions (survives eviction)
 
-	policy        RetryPolicy
-	leaseTTL      time.Duration
-	retries       uint64
-	leaseExpiries uint64
+	policy  RetryPolicy
+	retries uint64
+	// closed refuses every lease once the server has shut down, so a retry
+	// timer that fires late starts nothing.
+	closed bool
 
 	// journal, when set, records every lifecycle transition (nil = memory
 	// only).  Appends happen outside s.mu — the record is built under the
@@ -242,10 +237,9 @@ type jobStore struct {
 
 func newJobStore() *jobStore {
 	return &jobStore{
-		jobs:     make(map[string]*job),
-		policy:   RetryPolicy{}.withDefaults(),
-		leaseTTL: defaultLeaseTTL,
-		logger:   slog.New(slog.DiscardHandler),
+		jobs:   make(map[string]*job),
+		policy: RetryPolicy{}.withDefaults(),
+		logger: slog.New(slog.DiscardHandler),
 	}
 }
 
@@ -312,7 +306,7 @@ func (s *jobStore) prune() {
 }
 
 // leasedJob is one granted execution lease: what the runner goroutine needs
-// to dispatch and to report back without racing a newer attempt.
+// to dispatch its attempt.
 type leasedJob struct {
 	id      string
 	kind    string
@@ -322,10 +316,11 @@ type leasedJob struct {
 	cancel  context.CancelFunc
 }
 
-// leaseNext grants a lease on the earliest-submitted due pending job, if
-// any: the job moves to running, its attempt counter advances, and its
-// lease deadline starts.  newCtx builds the attempt's context while the
-// lock is held, so a concurrent cancel always finds the cancel func.
+// leaseNext grants a lease on the earliest-submitted pending job due by now,
+// if any: the job moves to running and its attempt counter advances.
+// newCtx builds the attempt's context while the lock is held, so a
+// concurrent cancel always finds the cancel func.  A closed store grants
+// nothing.
 func (s *jobStore) leaseNext(now time.Time, newCtx func() (context.Context, context.CancelFunc)) (leasedJob, bool) {
 	s.mu.Lock()
 	var pick *job
@@ -336,14 +331,13 @@ func (s *jobStore) leaseNext(now time.Time, newCtx func() (context.Context, cont
 			break
 		}
 	}
-	if pick == nil {
+	if pick == nil || s.closed {
 		s.mu.Unlock()
 		return leasedJob{}, false
 	}
 	ctx, cancel := newCtx()
 	pick.status = JobRunning
 	pick.attempt++
-	pick.leaseUntil = now.Add(s.leaseTTL)
 	pick.cancel = cancel
 	pick.notify()
 	lj := leasedJob{id: pick.id, kind: pick.kind, attempt: pick.attempt, req: pick.req, ctx: ctx, cancel: cancel}
@@ -353,68 +347,18 @@ func (s *jobStore) leaseNext(now time.Time, newCtx func() (context.Context, cont
 	return lj, true
 }
 
-// reclaimExpired is the lease watchdog: every running job whose lease
-// deadline has passed is cancelled and either re-queued (attempts remain)
-// or failed.  The collected cancel funcs are returned for the caller to
-// invoke outside the lock.
-func (s *jobStore) reclaimExpired(now time.Time) []context.CancelFunc {
-	var cancels []context.CancelFunc
-	var recs []journalRecord
-	s.mu.Lock()
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.status != JobRunning || j.leaseUntil.IsZero() || !j.leaseUntil.Before(now) {
-			continue
-		}
-		s.leaseExpiries++
-		if j.cancel != nil {
-			cancels = append(cancels, j.cancel)
-			j.cancel = nil
-		}
-		if j.attempt < s.policy.MaxAttempts {
-			s.retries++
-			j.status = JobPending
-			j.errText = "lease expired on attempt " + strconv.Itoa(j.attempt)
-			j.nextRunAt = now.Add(s.policy.delay(j.id, j.attempt))
-			j.leaseUntil = time.Time{}
-			recs = append(recs, journalRecord{
-				T: recRetry, Job: id, At: nowMilli(now),
-				Attempt: j.attempt, Error: j.errText, Next: nowMilli(j.nextRunAt),
-			})
-			s.logger.Warn("job lease expired; requeued", "job", id, "attempt", j.attempt, "next_run", j.nextRunAt)
-		} else {
-			j.status = JobFailed
-			j.finished = now
-			j.errText = "lease expired after " + strconv.Itoa(j.attempt) + " attempts"
-			recs = append(recs, journalRecord{T: recFailed, Job: id, At: nowMilli(now), Error: j.errText})
-			s.terminal(j)
-			s.logger.Warn("job lease expired; attempts exhausted", "job", id, "attempts", j.attempt)
-		}
-		j.notify()
-	}
-	s.mu.Unlock()
-	for _, r := range recs {
-		s.journal.append(r, r.T == recFailed)
-	}
-	return cancels
-}
-
-// progress updates the completed/total counters of a running attempt and
-// renews its lease — progress is the heartbeat.  Watchers hear of it only
-// when the counters change, so a stream never repeats a view.  Stale
-// attempts (a newer lease exists) are ignored.
-func (s *jobStore) progress(id string, attempt, done, total int) {
+// progress updates the completed/total counters of a running job.
+// Watchers hear of it only when the counters change, so a stream never
+// repeats a view.
+func (s *jobStore) progress(id string, done, total int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok || j.status != JobRunning || j.attempt != attempt {
+	if !ok || j.status != JobRunning || j.done == done && j.total == total {
 		return
 	}
-	j.leaseUntil = time.Now().Add(s.leaseTTL)
-	if j.done != done || j.total != total {
-		j.done, j.total = done, total
-		j.notify()
-	}
+	j.done, j.total = done, total
+	j.notify()
 }
 
 // watch subscribes to a job's lifecycle.  The returned channel yields
@@ -447,13 +391,15 @@ func (s *jobStore) watch(id string) (<-chan jobEvent, func(), bool) {
 	return ch, cancel, true
 }
 
-// finish reports the outcome of one attempt.  Stale reports — the job was
-// cancelled, or the watchdog already re-leased it — are dropped, except
-// that a partial result may still attach to a cancelled job (the
-// simulation's completed points are real).  A failed attempt re-queues the
-// job with backoff while attempts remain and the error is retryable;
-// terminal transitions journal with fsync.
-func (s *jobStore) finish(id string, attempt int, key string, result []byte, err error, cancelled bool) {
+// finish records how one attempt ended and returns when the job's retry is
+// due (zero when it is not re-queued).  An attempt ends only by returning:
+// err is nil when it produced result under key, wraps context.Canceled
+// when DELETE or shutdown stopped it (result is then the partial result
+// the simulation finished), and is otherwise the failure.  A job that
+// DELETE already cancelled keeps its status and takes the partial result.
+// A failed attempt re-queues the job with backoff while attempts remain
+// and the error is retryable; terminal transitions journal with fsync.
+func (s *jobStore) finish(id, key string, result []byte, err error) (due time.Time) {
 	now := time.Now()
 	var rec *journalRecord
 	fsyncRec := false
@@ -463,15 +409,16 @@ func (s *jobStore) finish(id string, attempt int, key string, result []byte, err
 		s.mu.Unlock()
 		return
 	}
-	if j.status != JobRunning || j.attempt != attempt {
+	if j.status != JobRunning {
 		// DELETE won the race: keep the cancelled status but attach the
 		// partial result the runner salvaged.
-		if j.status == JobCancelled && j.attempt == attempt && len(result) > 0 && len(j.result) == 0 {
+		if j.status == JobCancelled && len(result) > 0 && len(j.result) == 0 {
 			j.result = result
 		}
 		s.mu.Unlock()
 		return
 	}
+	cancelled := errors.Is(err, context.Canceled)
 	switch {
 	case cancelled && !j.cancelRequested && s.journal != nil:
 		// Shutdown-cancel on a durable store: leave the lease on the
@@ -491,8 +438,8 @@ func (s *jobStore) finish(id string, attempt int, key string, result []byte, err
 		j.status = JobPending
 		j.errText = err.Error()
 		j.nextRunAt = now.Add(s.policy.delay(id, j.attempt))
-		j.leaseUntil = time.Time{}
 		j.cancel = nil
+		due = j.nextRunAt
 		rec = &journalRecord{
 			T: recRetry, Job: id, At: nowMilli(now),
 			Attempt: j.attempt, Error: j.errText, Next: nowMilli(j.nextRunAt),
@@ -521,9 +468,8 @@ func (s *jobStore) finish(id string, attempt int, key string, result []byte, err
 	}
 	j.notify()
 	s.mu.Unlock()
-	if rec != nil {
-		s.journal.append(*rec, fsyncRec)
-	}
+	s.journal.append(*rec, fsyncRec)
+	return due
 }
 
 // cancelJob cancels a pending or running job.  It reports whether the id
@@ -560,12 +506,18 @@ func (s *jobStore) cancelJob(id string) (JobView, bool) {
 }
 
 // restore rebuilds the store from replayed journal records (called once at
-// startup, before the journal is attached and before any scheduling).  Jobs
-// whose last record is a lease were running when the previous process died:
-// they re-queue as pending — unless that lease was their final permitted
-// attempt.  Completed jobs restore as done and are never re-leased; a done
-// record without an inline result recovers it from the cache via lookup.
-func (s *jobStore) restore(recs []journalRecord, lookup func(key string) ([]byte, bool)) {
+// startup, before the journal is attached and before any lease) and returns
+// when each restored retry is due, for the caller to start it then.  Jobs
+// whose last record is a lease were running when the previous process
+// died: they re-queue as pending — unless that lease was their final
+// permitted attempt.  Completed jobs restore as done and are never
+// re-leased; a done record without an inline result recovers it from the
+// cache via lookup.  A lease or retry record without an attempt number is
+// malformed and skipped, and only a done record leaves a result on its
+// job.  The attempt count of a terminal record, and the error of a
+// cancelled one, restore what compaction wrote (snapshotRecords), so a
+// compacted journal restores the jobs it was written from.
+func (s *jobStore) restore(recs []journalRecord, lookup func(key string) ([]byte, bool)) (due []time.Time) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -597,12 +549,24 @@ func (s *jobStore) restore(recs []journalRecord, lookup func(key string) ([]byte
 			}
 			continue
 		}
-		if j == nil || j.corrupt {
+		switch {
+		case j == nil || j.corrupt:
 			continue
+		case rec.T == recLease || rec.T == recRetry:
+			if rec.Attempt < 1 {
+				continue // malformed: attempts count from 1
+			}
+		case rec.T != recDone && rec.T != recFailed && rec.T != recCancelled:
+			continue // foreign record type
+		}
+		if rec.T != recDone {
+			j.result, j.cacheKey = nil, ""
+		}
+		if rec.Attempt > 0 {
+			j.attempt = rec.Attempt
 		}
 		switch rec.T {
 		case recLease:
-			j.attempt = rec.Attempt
 			if j.attempt >= s.policy.MaxAttempts {
 				j.status = JobFailed
 				j.finished = now
@@ -614,7 +578,6 @@ func (s *jobStore) restore(recs []journalRecord, lookup func(key string) ([]byte
 			}
 		case recRetry:
 			j.status = JobPending
-			j.attempt = rec.Attempt
 			j.errText = rec.Error
 			j.nextRunAt = time.UnixMilli(rec.Next)
 		case recDone:
@@ -636,6 +599,9 @@ func (s *jobStore) restore(recs []journalRecord, lookup func(key string) ([]byte
 		case recCancelled:
 			j.status = JobCancelled
 			j.finished = time.UnixMilli(rec.At)
+			if rec.Error != "" {
+				j.errText = rec.Error
+			}
 		}
 	}
 	s.prune()
@@ -643,6 +609,9 @@ func (s *jobStore) restore(recs []journalRecord, lookup func(key string) ([]byte
 	for _, j := range s.jobs {
 		if j.status == JobPending {
 			pending++
+			if !j.nextRunAt.IsZero() {
+				due = append(due, j.nextRunAt)
+			}
 		} else if j.terminalStatus() {
 			terminalCount++
 		}
@@ -650,11 +619,14 @@ func (s *jobStore) restore(recs []journalRecord, lookup func(key string) ([]byte
 	if len(s.jobs) > 0 {
 		s.logger.Info("journal: restored jobs", "total", len(s.jobs), "pending", pending, "terminal", terminalCount)
 	}
+	return due
 }
 
 // snapshotRecords serialises the store back into minimal journal records —
 // the compaction image written at startup, which drops evicted jobs and
-// collapses each survivor to at most two records.
+// collapses each survivor to at most two records.  A terminal record
+// carries the job's attempt count, and a cancelled one its error, so that
+// restoring the image gives back the same jobs.
 func (s *jobStore) snapshotRecords() []journalRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -677,21 +649,25 @@ func (s *jobStore) snapshotRecords() []journalRecord {
 		case JobRunning:
 			out = append(out, journalRecord{T: recLease, Job: id, Attempt: j.attempt})
 		case JobDone:
-			rec := journalRecord{T: recDone, Job: id, At: nowMilli(j.finished), Key: j.cacheKey}
+			rec := journalRecord{T: recDone, Job: id, At: nowMilli(j.finished), Attempt: j.attempt, Key: j.cacheKey}
 			if len(j.result) <= journalInlineResultMax {
 				rec.Result = j.result
 			}
 			out = append(out, rec)
 		case JobFailed:
-			out = append(out, journalRecord{T: recFailed, Job: id, At: nowMilli(j.finished), Error: j.errText})
+			out = append(out, journalRecord{T: recFailed, Job: id, At: nowMilli(j.finished), Attempt: j.attempt, Error: j.errText})
 		case JobCancelled:
-			out = append(out, journalRecord{T: recCancelled, Job: id, At: nowMilli(j.finished)})
+			out = append(out, journalRecord{T: recCancelled, Job: id, At: nowMilli(j.finished), Attempt: j.attempt, Error: j.errText})
 		}
 	}
 	return out
 }
 
-func (s *jobStore) closeJournal() {
+// close refuses every further lease and closes the journal (Server.Close).
+func (s *jobStore) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	s.journal.close()
 }
 
@@ -763,11 +739,7 @@ func (s *jobStore) list() []JobView {
 func (s *jobStore) stats() JobStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := JobStats{
-		Submitted:     s.submitted,
-		Retries:       s.retries,
-		LeaseExpiries: s.leaseExpiries,
-	}
+	st := JobStats{Submitted: s.submitted, Retries: s.retries}
 	for _, j := range s.jobs {
 		switch j.status {
 		case JobPending:

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -37,8 +38,8 @@ type journalRecord struct {
 	At      int64           `json:"at,omitempty"`      // transition time, UnixMilli
 	Kind    string          `json:"kind,omitempty"`    // submit
 	Req     json.RawMessage `json:"req,omitempty"`     // submit
-	Attempt int             `json:"attempt,omitempty"` // lease / retry
-	Error   string          `json:"error,omitempty"`   // retry / failed
+	Attempt int             `json:"attempt,omitempty"` // lease / retry; compacted terminal records too
+	Error   string          `json:"error,omitempty"`   // retry / failed; compacted cancelled records too
 	Next    int64           `json:"next,omitempty"`    // retry: earliest next lease, UnixMilli
 	Key     string          `json:"key,omitempty"`     // done: rescache content address
 	Result  []byte          `json:"result,omitempty"`  // done: inline result (base64), bounded
@@ -63,36 +64,16 @@ type journal struct {
 	writeErrs atomic.Uint64 // failed appends/fsyncs
 }
 
-// openJournal reads the journal at path (tolerating a torn final line —
-// the expected signature of kill -9 mid-append) and opens it for append.
-// The returned records are in append order.
+// openJournal reads the journal at path (see readJournal) and opens it for
+// append.
 func openJournal(path string, logger *slog.Logger) (*journal, []journalRecord, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, err
 	}
 	var recs []journalRecord
 	if raw, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(raw)
-		sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var r journalRecord
-			if err := json.Unmarshal(line, &r); err != nil || r.T == "" || r.Job == "" {
-				// A torn or foreign line: skip it.  Only the final line can
-				// legitimately be torn; anything else is logged for the
-				// operator but never blocks startup.
-				logger.Warn("journal: skipping unparseable record", "path", path, "error", err)
-				continue
-			}
-			recs = append(recs, r)
-		}
+		recs = readJournal(raw, path, logger)
 		raw.Close()
-		if err := sc.Err(); err != nil {
-			logger.Warn("journal: scan ended early", "path", path, "error", err)
-		}
 	} else if !os.IsNotExist(err) {
 		return nil, nil, err
 	}
@@ -101,6 +82,34 @@ func openJournal(path string, logger *slog.Logger) (*journal, []journalRecord, e
 		return nil, nil, err
 	}
 	return &journal{f: f, path: path, logger: logger}, recs, nil
+}
+
+// readJournal parses the journal read from r (named path in logs) into its
+// records, in append order, tolerating a torn final line — the expected
+// signature of kill -9 mid-append.
+func readJournal(r io.Reader, path string, logger *slog.Logger) []journalRecord {
+	var recs []journalRecord
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var r journalRecord
+		if err := json.Unmarshal(line, &r); err != nil || r.T == "" || r.Job == "" {
+			// A torn or foreign line: skip it.  Only the final line can
+			// legitimately be torn; anything else is logged for the
+			// operator but never blocks startup.
+			logger.Warn("journal: skipping unparseable record", "path", path, "error", err)
+			continue
+		}
+		recs = append(recs, r)
+	}
+	if err := sc.Err(); err != nil {
+		logger.Warn("journal: scan ended early", "path", path, "error", err)
+	}
+	return recs
 }
 
 // append writes one record, optionally fsyncing (terminal and submit

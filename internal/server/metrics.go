@@ -65,9 +65,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.CounterFunc("specrun_job_retries_total",
 		"Failed job attempts re-queued under the retry policy.",
 		func() uint64 { return s.jobs.stats().Retries })
-	r.CounterFunc("specrun_job_lease_expiries_total",
-		"Job leases reclaimed by the watchdog after the holder stopped reporting progress.",
-		func() uint64 { return s.jobs.stats().LeaseExpiries })
 	r.CounterFunc("specrun_journal_records_total",
 		"Job-journal records appended this process.",
 		func() uint64 { n, _ := s.jobs.journalCounters(); return n })

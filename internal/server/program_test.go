@@ -91,6 +91,9 @@ func TestRunProgramInvalid(t *testing.T) {
 		{"parse error", `{"asm":"movi r1, @@"}`, "request:"},
 		{"malformed register", `{"asm":"addi r1x, r0, 5\nhalt"}`, `invalid register \"r1x\"`},
 		{"clflush index", `{"asm":"clflush [r1 + r2*8 + 0]\nhalt"}`, "index register"},
+		{"fp address base", `{"asm":"ld r1, [f2 + 0]\nhalt"}`, "source register f2"},
+		{"fp jump target", `{"asm":"jr f2\nhalt"}`, "source register f2"},
+		{"int source of fp op", `{"asm":"fadd f1, r2, f3\nhalt"}`, "source register r2"},
 		{"bad binary", `{"binary":"aGVsbG8="}`, "prog:"},
 		{"budget", fmt.Sprintf(`{"asm":"halt","max_cycles":%d}`, maxProgramCycles+1), "exceeds limit"},
 		{"bad config", `{"asm":"halt","config":{"nonsense":1}}`, "config:"},
@@ -242,7 +245,7 @@ func TestJobEventsTerminalAndUnknown(t *testing.T) {
 // each counted once — a job that fails all its attempts is one error — and
 // the SSE gauge family is registered.
 func TestProgramMetrics(t *testing.T) {
-	_, ts := newTestServerOpts(t, Options{Retry: RetryPolicy{BaseDelay: time.Millisecond}, SchedInterval: 10 * time.Millisecond})
+	_, ts := newTestServerOpts(t, Options{Retry: RetryPolicy{BaseDelay: time.Millisecond}})
 
 	reqBody, _ := json.Marshal(map[string]any{"asm": testProgramSrc})
 	if code, _, body := do(t, "POST", ts.URL+"/v1/run/program", string(reqBody)); code != http.StatusOK {

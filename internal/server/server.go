@@ -36,7 +36,6 @@ import (
 	"specrun/internal/core"
 	"specrun/internal/cpu"
 	"specrun/internal/difftest"
-	"specrun/internal/faultinject"
 	"specrun/internal/rescache"
 	"specrun/internal/sweep"
 )
@@ -65,18 +64,12 @@ type Options struct {
 	DataDir string
 	// DiskCacheBytes bounds the disk cache (0 = 256 MiB).
 	DiskCacheBytes int64
-	// LeaseTTL is how long a job attempt may run without reporting
-	// progress before the watchdog reclaims it (0 = 60s).
-	LeaseTTL time.Duration
 	// JobTimeout bounds a single job attempt end to end (0 = unbounded).
 	// A timed-out attempt is retried under the Retry policy.
 	JobTimeout time.Duration
 	// Retry governs re-execution of failed job attempts (zero values
 	// select the defaults documented on RetryPolicy).
 	Retry RetryPolicy
-	// SchedInterval is the scheduler tick driving retries, resumes and
-	// lease reclaim (0 = 500ms).  Tests shrink it.
-	SchedInterval time.Duration
 }
 
 // Server is the simulation service.  Create with New, mount Handler on an
@@ -100,8 +93,9 @@ type Server struct {
 
 // New builds a Server.  With Options.DataDir set, the durable tier attaches
 // here: the disk cache is scanned, the job journal replayed and compacted,
-// and interrupted jobs re-queued; the scheduler goroutine then resumes
-// them.  Durability failures degrade to memory-only — New never fails.
+// and interrupted jobs re-queued and leased again at once (a restored retry
+// when its backoff elapses).  Durability failures degrade to memory-only —
+// New never fails.
 func New(opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	logger := opts.Logger
@@ -131,9 +125,6 @@ func New(opts Options) *Server {
 		}
 	}
 	s.jobs.policy = opts.Retry.withDefaults()
-	if opts.LeaseTTL > 0 {
-		s.jobs.leaseTTL = opts.LeaseTTL
-	}
 	if opts.DataDir != "" {
 		// AttachDisk logs its own warning on failure and the cache keeps
 		// serving from memory; the Degraded flag surfaces in /v1/stats.
@@ -146,25 +137,28 @@ func New(opts Options) *Server {
 		if err != nil {
 			logger.Warn("job journal unavailable; jobs are not durable", "error", err)
 		} else {
-			s.jobs.restore(recs, s.cache.Get)
+			retries := s.jobs.restore(recs, s.cache.Get)
 			if err := jnl.rewrite(s.jobs.snapshotRecords()); err != nil {
 				logger.Warn("journal compaction failed; appending to existing journal", "error", err)
 			}
 			s.jobs.journal = jnl
+			for _, at := range retries {
+				s.retryAt(at)
+			}
+			s.pump(time.Now())
 		}
 	}
-	go s.schedule()
 	return s
 }
 
 // Close cancels the server's base context — running jobs and in-flight
-// computations observe cancellation and wind down — and closes the journal.
-// With a durable store, leased jobs are deliberately NOT journaled as
-// cancelled: their last record stays the lease, so the next boot reclaims
-// and re-runs them.
+// computations observe cancellation and wind down — and closes the job
+// store, which then grants no lease.  With a durable store, leased jobs are
+// deliberately NOT journaled as cancelled: their last record stays the
+// lease, so the next boot reclaims and re-runs them.
 func (s *Server) Close() {
 	s.stop()
-	s.jobs.closeJournal()
+	s.jobs.close()
 }
 
 // Drain blocks until no job is pending or running, or ctx expires (whose
@@ -185,35 +179,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// schedule is the job scheduler loop: an immediate pump resumes journaled
-// work at boot, then the ticker drives lease reclaim and delayed retries.
-// Submissions pump synchronously, so the tick is a backstop, not the
-// dispatch latency.
-func (s *Server) schedule() {
-	interval := s.opts.SchedInterval
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	s.pump(time.Now())
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case now := <-t.C:
-			s.pump(now)
-		}
-	}
-}
-
-// pump advances the scheduler once: reclaim expired leases, then lease
-// every due pending job onto its own runner goroutine (the gate, not the
-// lease count, bounds actual simulation concurrency).
+// pump leases every pending job due by now onto its own runner goroutine
+// (the gate, not the lease count, bounds simulation concurrency).  Boot, a
+// submission and a retry's timer call it; nothing polls.
 func (s *Server) pump(now time.Time) {
-	for _, cancel := range s.jobs.reclaimExpired(now) {
-		cancel()
-	}
 	for {
 		lj, ok := s.jobs.leaseNext(now, func() (context.Context, context.CancelFunc) {
 			return context.WithCancel(s.baseCtx)
@@ -225,7 +194,18 @@ func (s *Server) pump(now time.Time) {
 	}
 }
 
-// runAttempt executes one leased attempt under the per-job timeout.
+// retryAt arms the one-shot timer that starts a re-queued job once its
+// backoff elapses.  The timer pumps as of at, so clock granularity never
+// leaves the job short of due; after Close it starts nothing.
+func (s *Server) retryAt(at time.Time) {
+	time.AfterFunc(time.Until(at), func() { s.pump(at) })
+}
+
+// runAttempt executes one leased attempt under the per-job timeout and
+// records how it ended.  Returning is the only way an attempt ends: done,
+// failed, cancelled (DELETE or shutdown) or cut off by the job timeout.
+// Requests replayed from the journal take this same path, so resume is
+// ordinary execution.
 func (s *Server) runAttempt(lj leasedJob) {
 	defer lj.cancel()
 	ctx := lj.ctx
@@ -234,23 +214,15 @@ func (s *Server) runAttempt(lj leasedJob) {
 		ctx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
 		defer cancel()
 	}
-	// An injected stall blocks here — before any progress heartbeat can
-	// renew the lease — so the watchdog observes the expiry and reclaims
-	// the job, exactly the hung-worker failure mode it exists for.
-	faultinject.Stall(ctx, faultinject.JobStall)
-	s.executeJob(ctx, lj)
-}
-
-// executeJob builds the task for a normalized request and runs it on the
-// job path.  Requests replayed from the journal take this same path, so
-// resume is ordinary execution.
-func (s *Server) executeJob(ctx context.Context, lj leasedJob) {
+	var key string
+	var body []byte
 	t, err := jobTask(lj.req)
-	if err != nil {
-		s.jobs.finish(lj.id, lj.attempt, "", nil, err, false)
-		return
+	if err == nil {
+		key, body, err = s.runJob(ctx, t, func(done, total int) { s.jobs.progress(lj.id, done, total) })
 	}
-	s.runJob(ctx, lj, t)
+	if at := s.jobs.finish(lj.id, key, body, err); !at.IsZero() {
+		s.retryAt(at)
+	}
 }
 
 // Handler returns the routed HTTP handler.  Every route is mounted through

@@ -479,7 +479,7 @@ func TestJobStoreBounded(t *testing.T) {
 		if !ok || lj.id != id {
 			t.Fatalf("lease %d: %+v %v", i, lj, ok)
 		}
-		s.finish(id, lj.attempt, "", []byte(`{}`), nil, false)
+		s.finish(id, "", []byte(`{}`), nil)
 	}
 	if n := len(s.list()); n > maxJobs {
 		t.Fatalf("store holds %d jobs, bound is %d", n, maxJobs)

@@ -60,21 +60,18 @@ func (s *Server) serveTask(w http.ResponseWriter, r *http.Request, t task, err e
 // synchronous routes: a cached result completes the job at once, a fresh
 // one is stored for them.  It probes with Get and simulates outside
 // cache.Do, so cancelling a job never aborts a synchronous request
-// coalesced on the same key.  A cancelled run's partial result attaches to
-// the job but never becomes the cache entry for its key.
-func (s *Server) runJob(ctx context.Context, lj leasedJob, t task) {
+// coalesced on the same key.  It returns the result and its key, or the
+// run's error; a cancelled run's partial result comes back with its error,
+// attaches to the job and never becomes the cache entry for its key.
+func (s *Server) runJob(ctx context.Context, t task, progress func(done, total int)) (key string, body []byte, err error) {
 	if p := t.begin; p != nil {
-		s.jobs.progress(lj.id, lj.attempt, p.Done, p.Total)
+		progress(p.Done, p.Total)
 	}
 	if body, ok := s.cache.Get(t.key); ok {
-		s.jobs.finish(lj.id, lj.attempt, t.key, body, nil, false)
-		return
+		return t.key, body, nil
 	}
 	s.simulations.Add(1)
-	res, err := t.run(sweep.WithGate(ctx, s.gate), func(done, total int) {
-		s.jobs.progress(lj.id, lj.attempt, done, total)
-	})
-	var body []byte
+	res, err := t.run(sweep.WithGate(ctx, s.gate), progress)
 	if res != nil {
 		var encErr error
 		if body, encErr = Encode(res); encErr != nil && err == nil {
@@ -83,13 +80,12 @@ func (s *Server) runJob(ctx context.Context, lj leasedJob, t task) {
 	}
 	switch {
 	case errors.Is(err, context.Canceled):
-		s.jobs.finish(lj.id, lj.attempt, "", body, nil, true)
+		return "", body, err
 	case err != nil:
-		s.jobs.finish(lj.id, lj.attempt, "", nil, err, false)
-	default:
-		s.cache.Add(t.key, body)
-		s.jobs.finish(lj.id, lj.attempt, t.key, body, nil, false)
+		return "", nil, err
 	}
+	s.cache.Add(t.key, body)
+	return t.key, body, nil
 }
 
 // jobTask builds the task for a normalized job request (see normalizeJob):

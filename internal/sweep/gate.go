@@ -79,9 +79,9 @@ func (g *Gate) Release() { <-g.tokens }
 
 type gateKey struct{}
 
-// WithGate returns a context carrying the gate.  [Run] honors a context
-// gate when Options.Gate is unset, which lets a server-wide budget flow
-// through driver functions that only take a context.
+// WithGate returns a context carrying the gate.  [Run] honors it, which
+// lets a server-wide budget flow through driver functions that only take a
+// context.
 func WithGate(ctx context.Context, g *Gate) context.Context {
 	return context.WithValue(ctx, gateKey{}, g)
 }

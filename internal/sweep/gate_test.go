@@ -31,19 +31,12 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		go func(useCtx bool) {
+		go func() {
 			defer wg.Done()
-			ctx := context.Background()
-			opt := Options{Workers: 8}
-			if useCtx {
-				ctx = WithGate(ctx, gate) // one sweep takes the context route
-			} else {
-				opt.Gate = gate // the other the explicit option
-			}
-			if _, err := Run(ctx, items, job, opt); err != nil {
+			if _, err := Run(WithGate(context.Background(), gate), items, job, Options{Workers: 8}); err != nil {
 				t.Errorf("Run: %v", err)
 			}
-		}(i == 0)
+		}()
 	}
 	wg.Wait()
 	if p := peak.Load(); p > 2 {
@@ -65,8 +58,8 @@ func TestGateAcquireCancelled(t *testing.T) {
 	// A cancelled gated sweep completes without deadlocking; jobs that
 	// never acquired the gate are reported as cancelled, not as failures.
 	items := make([]int, 4)
-	_, err := Run(ctx, items, func(context.Context, int) (int, error) { return 1, nil },
-		Options{Workers: 2, Gate: gate})
+	_, err := Run(WithGate(ctx, gate), items, func(context.Context, int) (int, error) { return 1, nil },
+		Options{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("gated cancelled Run = %v", err)
 	}
@@ -89,8 +82,8 @@ func TestGateCancelAfterDispatch(t *testing.T) {
 	items := make([]int, 2)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, items, func(context.Context, int) (int, error) { return 1, nil },
-			Options{Workers: len(items), Gate: gate})
+		_, err := Run(WithGate(ctx, gate), items, func(context.Context, int) (int, error) { return 1, nil },
+			Options{Workers: len(items)})
 		errc <- err
 	}()
 	// Give the dispatcher time to hand out both jobs and exit its loop.

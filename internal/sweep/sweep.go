@@ -22,19 +22,6 @@ type Options struct {
 	// FailFast stops dispatching new jobs after the first job error;
 	// already-running jobs finish.  [First] sets this.
 	FailFast bool
-	// Gate, if non-nil, bounds how many jobs execute concurrently across
-	// every Run call sharing it (a server-wide worker budget).  When unset,
-	// the gate installed on the context by [WithGate] is used, so the budget
-	// reaches drivers that only thread a context.
-	Gate *Gate
-	// Retry, if non-nil, is consulted after each failed job attempt with the
-	// attempt number (1 = the first run) and its error; returning true
-	// re-runs the job immediately on the same worker (the gate token is held
-	// across retries).  Every simulation is deterministic and idempotent, so
-	// retrying transient failures — worker panics, injected faults — is
-	// always safe; only the final attempt's error reaches the JobError.
-	// Retries stop as soon as ctx is cancelled.
-	Retry func(attempt int, err error) bool
 }
 
 // PanicError is a worker panic converted into a job error: the recovered
@@ -65,7 +52,9 @@ func (e *JobError) Unwrap() error { return e.Err }
 // regardless of scheduling.  Every failing job contributes a *JobError to
 // the joined error (ascending by index); the corresponding result slot
 // holds the zero value.  If ctx is cancelled mid-sweep, undispatched jobs
-// never run and ctx.Err() is included in the returned error.
+// never run and ctx.Err() is included in the returned error.  A [Gate]
+// installed on ctx by [WithGate] bounds how many jobs execute at once
+// across every Run sharing it.
 func Run[I, R any](ctx context.Context, items []I, fn func(context.Context, I) (R, error), opt Options) ([]R, error) {
 	results := make([]R, len(items))
 	if len(items) == 0 {
@@ -79,10 +68,7 @@ func Run[I, R any](ctx context.Context, items []I, fn func(context.Context, I) (
 		workers = len(items)
 	}
 
-	gate := opt.Gate
-	if gate == nil {
-		gate = GateFrom(ctx)
-	}
+	gate := GateFrom(ctx)
 
 	jobs := make(chan int)
 	stop := make(chan struct{}) // closed on the first error under FailFast
@@ -118,9 +104,6 @@ func Run[I, R any](ctx context.Context, items []I, fn func(context.Context, I) (
 					}
 				}
 				r, err := runJob(ctx, items[i], fn)
-				for attempt := 1; err != nil && opt.Retry != nil && ctx.Err() == nil && opt.Retry(attempt, err); attempt++ {
-					r, err = runJob(ctx, items[i], fn)
-				}
 				if gate != nil {
 					gate.Release()
 				}
@@ -189,7 +172,8 @@ dispatch:
 // panic would kill the whole process — unacceptable for a long-running
 // server whose job inputs arrive over the network.  The chaos harness's
 // worker-panic fault point fires here, before fn touches any simulator
-// state, so an injected panic is always cleanly retryable.
+// state, so an injected panic fails the sweep cleanly and the server's
+// retry of the whole job reproduces the fault-free result.
 func runJob[I, R any](ctx context.Context, item I, fn func(context.Context, I) (R, error)) (r R, err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"specrun/internal/faultinject"
 )
 
 func TestRunDeterministicOrdering(t *testing.T) {
@@ -280,94 +278,5 @@ func TestPanicErrorCarriesStack(t *testing.T) {
 	}
 	if !strings.Contains(pe.Error(), "boom with stack") {
 		t.Fatalf("Error() = %q", pe.Error())
-	}
-}
-
-// TestRetryHook: the retry policy re-runs failing jobs on the same worker
-// until it declines; successes never consult it, and only the final
-// attempt's error becomes the JobError.
-func TestRetryHook(t *testing.T) {
-	var mu sync.Mutex
-	attempts := map[int]int{}
-	var retries []int
-	got, err := Run(context.Background(), []int{0, 1, 2}, func(_ context.Context, v int) (int, error) {
-		mu.Lock()
-		attempts[v]++
-		n := attempts[v]
-		mu.Unlock()
-		switch {
-		case v == 1 && n < 3:
-			return 0, fmt.Errorf("transient %d", n)
-		case v == 2:
-			return 0, errors.New("permanent")
-		}
-		return v * 10, nil
-	}, Options{Workers: 2, Retry: func(attempt int, err error) bool {
-		mu.Lock()
-		retries = append(retries, attempt)
-		mu.Unlock()
-		return attempt < 3
-	}})
-	if got[0] != 0 || got[1] != 10 {
-		t.Fatalf("results = %v", got)
-	}
-	jobErrs := Errors(err)
-	if len(jobErrs) != 1 || jobErrs[0].Index != 2 || !strings.Contains(jobErrs[0].Err.Error(), "permanent") {
-		t.Fatalf("Errors = %v, want the exhausted permanent failure at index 2", jobErrs)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if attempts[0] != 1 || attempts[1] != 3 || attempts[2] != 3 {
-		t.Fatalf("attempts = %v, want job 0 once, jobs 1 and 2 three times", attempts)
-	}
-}
-
-// TestRetryHookStopsOnCancel: a cancelled context ends the retry loop even
-// when the policy would keep going.
-func TestRetryHookStopsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	_, err := Run(ctx, []int{0}, func(_ context.Context, v int) (int, error) {
-		calls++
-		cancel()
-		return 0, errors.New("always")
-	}, Options{Workers: 1, Retry: func(int, error) bool { return true }})
-	if calls != 1 {
-		t.Fatalf("job ran %d times after cancellation, want 1", calls)
-	}
-	if err == nil {
-		t.Fatal("want error")
-	}
-}
-
-// TestInjectedWorkerPanicsRetried: the chaos contract — with the
-// worker-panic fault point firing on the first K jobs and a panic-only
-// retry policy, the sweep's results are byte-identical to a fault-free run.
-func TestInjectedWorkerPanicsRetried(t *testing.T) {
-	items := make([]int, 32)
-	for i := range items {
-		items[i] = i
-	}
-	fn := func(_ context.Context, v int) (int, error) { return v * 7, nil }
-	clean, err := Run(context.Background(), items, fn, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	faultinject.Enable(faultinject.Config{Points: map[faultinject.Point]faultinject.PointConfig{
-		faultinject.WorkerPanic: {First: 5},
-	}})
-	defer faultinject.Disable()
-	// The retry cap must exceed First: under concurrency every one of the
-	// first K point hits can land on a single job's consecutive retries.
-	chaos, err := Run(context.Background(), items, fn, Options{Workers: 4, Retry: func(attempt int, err error) bool {
-		var pe *PanicError
-		return errors.As(err, &pe) && attempt < 8
-	}})
-	if err != nil {
-		t.Fatalf("chaos run failed despite retries: %v", err)
-	}
-	if !reflect.DeepEqual(clean, chaos) {
-		t.Fatalf("chaos results differ from clean run:\n%v\n%v", clean, chaos)
 	}
 }
