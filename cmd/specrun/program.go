@@ -145,7 +145,6 @@ func runRun(args []string) error {
 	}
 	cfg.Secure.Enabled = *secure
 	cfg.Runahead.SkipINVBranch = *skipINV
-	cfg = core.Normalize(cfg)
 	if err := core.Validate(cfg); err != nil {
 		return err
 	}

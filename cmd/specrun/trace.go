@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -53,7 +51,15 @@ func runTrace(args []string) error {
 		cfg = core.BaselineConfig()
 	}
 	if *configArg != "" {
-		if err := overlayConfig(&cfg, *configArg); err != nil {
+		// Inline JSON, or the path of a file holding it.
+		doc := []byte(*configArg)
+		var err error
+		if !strings.HasPrefix(strings.TrimSpace(*configArg), "{") {
+			if doc, err = os.ReadFile(*configArg); err != nil {
+				return fmt.Errorf("trace: %w", err)
+			}
+		}
+		if cfg, err = core.Overlay(cfg, doc); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 	}
@@ -146,27 +152,6 @@ func traceProgram(bench string, seed int64, attackVar string, cfg *core.Config) 
 		}
 		return k.Build(), k.Name, nil
 	}
-}
-
-// overlayConfig applies a partial JSON config document — inline, or read
-// from a file when arg doesn't look like JSON — over cfg, the same overlay
-// semantics as the HTTP API's "config" field.
-func overlayConfig(cfg *core.Config, arg string) error {
-	data := []byte(arg)
-	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return err
-		}
-		data = b
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(cfg); err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	*cfg = core.Normalize(*cfg)
-	return core.Validate(*cfg)
 }
 
 // parseWindow parses "start:end" (or a bare "end", meaning [0,end)).

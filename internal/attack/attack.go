@@ -272,6 +272,28 @@ func mustSym(b *asm.Builder, name string) uint64 {
 	return b.MustSymNow(name)
 }
 
+// Validate checks the parameters a request may carry against Build's
+// preconditions (a power-of-two probe stride) and against sizes that keep
+// one PoC cheap to build and simulate (a nop costs ~205 bytes of program).
+func (p Params) Validate() error {
+	if n := len(p.Secret); n < 1 || n > 256 {
+		return fmt.Errorf("params: secret length %d out of range (1..256 bytes)", n)
+	}
+	if p.SecretIdx < 0 || p.SecretIdx >= len(p.Secret) {
+		return fmt.Errorf("params: secret_idx %d out of range for a %d-byte secret", p.SecretIdx, len(p.Secret))
+	}
+	if p.TrainingRounds < 1 || p.TrainingRounds > 1<<12 {
+		return fmt.Errorf("params: training_rounds %d out of range (1..%d)", p.TrainingRounds, 1<<12)
+	}
+	if p.ProbeStride < 64 || p.ProbeStride > 1<<16 || p.ProbeStride&(p.ProbeStride-1) != 0 {
+		return fmt.Errorf("params: probe_stride %d must be a power of two in 64..%d", p.ProbeStride, 1<<16)
+	}
+	if p.NopPad < 0 || p.NopPad > 1<<16 {
+		return fmt.Errorf("params: nop_pad %d out of range (0..%d)", p.NopPad, 1<<16)
+	}
+	return nil
+}
+
 // Build assembles the PoC for the selected variant.
 func Build(p Params) (*asm.Program, Layout, error) {
 	if len(p.Secret) == 0 {

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"specrun/internal/asm"
-	"specrun/internal/branch"
 	"specrun/internal/cpu"
 	"specrun/internal/isa"
 )
@@ -27,14 +26,6 @@ func ConfigFor(v Variant, base cpu.Config) cpu.Config {
 		base.Branch.BTBTagBits = btbAttackTagBits
 	}
 	return base
-}
-
-// DefaultBranchConfigForBTB exposes the aliasing predictor geometry (tests).
-func DefaultBranchConfigForBTB() branch.Config {
-	cfg := branch.DefaultConfig()
-	cfg.BTBSets = btbAttackSets
-	cfg.BTBTagBits = btbAttackTagBits
-	return cfg
 }
 
 // buildBTB assembles the Fig. 4a PoC.

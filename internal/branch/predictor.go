@@ -292,10 +292,6 @@ func (p *Predictor) Restore(cp Checkpoint) {
 	copy(p.rsb, cp.rsb)
 }
 
-// ShiftResolved shifts the resolved direction of a recovered branch into the
-// speculative history (called after Restore on a direction misprediction).
-func (p *Predictor) ShiftResolved(taken bool) { p.specShiftGHR(taken) }
-
 // FixLast replaces the most recent speculative history bit with the resolved
 // direction.  Used on direction-misprediction recovery when the checkpoint
 // was taken after the prediction shifted the wrong bit in.

@@ -5,135 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-
-	"specrun/internal/mem"
 )
-
-// Normalize returns cfg with every zero capacity, width and latency field
-// replaced by its Table 1 default, so that two configurations describing the
-// same machine hash identically under [HashKey].  Fields whose zero value is
-// meaningful — Runahead.Kind (none = baseline), Branch.BTBTagBits (0 = full
-// tags) and the boolean switches — are left untouched.
-func Normalize(cfg Config) Config {
-	def := DefaultConfig()
-	fill := func(dst *int, d int) {
-		if *dst == 0 {
-			*dst = d
-		}
-	}
-	fill(&cfg.FetchWidth, def.FetchWidth)
-	fill(&cfg.DecodeWidth, def.DecodeWidth)
-	fill(&cfg.DispatchWidth, def.DispatchWidth)
-	fill(&cfg.IssueWidth, def.IssueWidth)
-	fill(&cfg.CommitWidth, def.CommitWidth)
-	fill(&cfg.FrontEndDepth, def.FrontEndDepth)
-	fill(&cfg.ROBSize, def.ROBSize)
-	fill(&cfg.IQSize, def.IQSize)
-	fill(&cfg.LQSize, def.LQSize)
-	fill(&cfg.SQSize, def.SQSize)
-	fill(&cfg.IntPRF, def.IntPRF)
-	fill(&cfg.FPPRF, def.FPPRF)
-	fill(&cfg.VecPRF, def.VecPRF)
-	fill(&cfg.IntALU, def.IntALU)
-	fill(&cfg.IntMul, def.IntMul)
-	fill(&cfg.IntDiv, def.IntDiv)
-	fill(&cfg.FPAdd, def.FPAdd)
-	fill(&cfg.FPMul, def.FPMul)
-	fill(&cfg.FPDiv, def.FPDiv)
-	fill(&cfg.MemPorts, def.MemPorts)
-	fill(&cfg.FrontQ, def.FrontQ)
-
-	fill(&cfg.Mem.LineSize, def.Mem.LineSize)
-	fillCache(&cfg.Mem.L1I, def.Mem.L1I)
-	fillCache(&cfg.Mem.L1D, def.Mem.L1D)
-	fillCache(&cfg.Mem.L2, def.Mem.L2)
-	fillCache(&cfg.Mem.L3, def.Mem.L3)
-	fill(&cfg.Mem.MemLatency, def.Mem.MemLatency)
-	fill(&cfg.Mem.MemBusCycles, def.Mem.MemBusCycles)
-	fill(&cfg.Mem.MemMaxOutstanding, def.Mem.MemMaxOutstanding)
-
-	fill(&cfg.Branch.HistoryBits, def.Branch.HistoryBits)
-	fill(&cfg.Branch.PHTSize, def.Branch.PHTSize)
-	fill(&cfg.Branch.BTBSets, def.Branch.BTBSets)
-	fill(&cfg.Branch.BTBAssoc, def.Branch.BTBAssoc)
-	fill(&cfg.Branch.RSBSize, def.Branch.RSBSize)
-
-	if cfg.Runahead.TriggerLevel == mem.LevelNone {
-		cfg.Runahead.TriggerLevel = def.Runahead.TriggerLevel
-	}
-	fill(&cfg.Runahead.RunaheadCacheBytes, def.Runahead.RunaheadCacheBytes)
-	fill(&cfg.Runahead.ExitPenalty, def.Runahead.ExitPenalty)
-	fill(&cfg.Runahead.VectorLanes, def.Runahead.VectorLanes)
-
-	fill(&cfg.Secure.SLEntries, def.Secure.SLEntries)
-	fill(&cfg.Secure.SLLatency, def.Secure.SLLatency)
-	return cfg
-}
-
-func fillCache(dst *mem.CacheConfig, def mem.CacheConfig) {
-	if dst.Name == "" {
-		dst.Name = def.Name
-	}
-	if dst.Size == 0 {
-		dst.Size = def.Size
-	}
-	if dst.Assoc == 0 {
-		dst.Assoc = def.Assoc
-	}
-	if dst.Latency == 0 {
-		dst.Latency = def.Latency
-	}
-}
-
-// validLimit is a generous upper bound on any single capacity/size field;
-// it exists to keep a hostile configuration from requesting absurd
-// allocations, not to police realistic machines.
-const validLimit = 1 << 30
-
-// Validate rejects configurations that cannot build a machine: after
-// [Normalize], every width, capacity and latency must be positive (and
-// sanely bounded), and the tag-width field non-negative.  The HTTP API
-// calls this on every decoded config so a hostile document degrades into a
-// 400 instead of a panic inside the simulator.
-func Validate(cfg Config) error {
-	pos := []struct {
-		name string
-		v    int
-	}{
-		{"fetch_width", cfg.FetchWidth}, {"decode_width", cfg.DecodeWidth},
-		{"dispatch_width", cfg.DispatchWidth}, {"issue_width", cfg.IssueWidth},
-		{"commit_width", cfg.CommitWidth}, {"front_end_depth", cfg.FrontEndDepth},
-		{"rob_size", cfg.ROBSize}, {"iq_size", cfg.IQSize},
-		{"lq_size", cfg.LQSize}, {"sq_size", cfg.SQSize},
-		{"int_prf", cfg.IntPRF}, {"fp_prf", cfg.FPPRF}, {"vec_prf", cfg.VecPRF},
-		{"int_alu", cfg.IntALU}, {"int_mul", cfg.IntMul}, {"int_div", cfg.IntDiv},
-		{"fp_add", cfg.FPAdd}, {"fp_mul", cfg.FPMul}, {"fp_div", cfg.FPDiv},
-		{"mem_ports", cfg.MemPorts}, {"front_q", cfg.FrontQ},
-		{"mem.line_size", cfg.Mem.LineSize},
-		{"mem.l1i.size", cfg.Mem.L1I.Size}, {"mem.l1i.assoc", cfg.Mem.L1I.Assoc}, {"mem.l1i.latency", cfg.Mem.L1I.Latency},
-		{"mem.l1d.size", cfg.Mem.L1D.Size}, {"mem.l1d.assoc", cfg.Mem.L1D.Assoc}, {"mem.l1d.latency", cfg.Mem.L1D.Latency},
-		{"mem.l2.size", cfg.Mem.L2.Size}, {"mem.l2.assoc", cfg.Mem.L2.Assoc}, {"mem.l2.latency", cfg.Mem.L2.Latency},
-		{"mem.l3.size", cfg.Mem.L3.Size}, {"mem.l3.assoc", cfg.Mem.L3.Assoc}, {"mem.l3.latency", cfg.Mem.L3.Latency},
-		{"mem.mem_latency", cfg.Mem.MemLatency}, {"mem.mem_bus_cycles", cfg.Mem.MemBusCycles},
-		{"mem.mem_max_outstanding", cfg.Mem.MemMaxOutstanding},
-		{"branch.history_bits", cfg.Branch.HistoryBits}, {"branch.pht_size", cfg.Branch.PHTSize},
-		{"branch.btb_sets", cfg.Branch.BTBSets}, {"branch.btb_assoc", cfg.Branch.BTBAssoc},
-		{"branch.rsb_size", cfg.Branch.RSBSize},
-		{"runahead.runahead_cache_bytes", cfg.Runahead.RunaheadCacheBytes},
-		{"runahead.exit_penalty", cfg.Runahead.ExitPenalty},
-		{"runahead.vector_lanes", cfg.Runahead.VectorLanes},
-		{"secure.sl_entries", cfg.Secure.SLEntries}, {"secure.sl_latency", cfg.Secure.SLLatency},
-	}
-	for _, f := range pos {
-		if f.v <= 0 || f.v > validLimit {
-			return fmt.Errorf("core: config field %s = %d out of range (1..%d)", f.name, f.v, validLimit)
-		}
-	}
-	if cfg.Branch.BTBTagBits < 0 || cfg.Branch.BTBTagBits > 64 {
-		return fmt.Errorf("core: config field branch.btb_tag_bits = %d out of range (0..64)", cfg.Branch.BTBTagBits)
-	}
-	return nil
-}
 
 // HashKey returns a content-addressed cache key: the hex SHA-256 of the
 // driver name and the canonical JSON of each part (encoding/json emits

@@ -125,7 +125,7 @@ func TestMachinePoolStableUnderReuse(t *testing.T) {
 func TestMachinePoolHitMissCounters(t *testing.T) {
 	prog := proggen.Generate(7, proggen.DefaultOptions())
 	cfg := noRunaheadConfig()
-	cfg.FrontQ = 9999 // unique shape: this test owns its pool
+	cfg.FrontQ = 4095 // unique shape: this test owns its pool
 	// Two collections in a row release an idle machine; keep the collector
 	// off so the counts depend on the pool alone.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -154,7 +154,7 @@ func TestMachinePoolHitMissCounters(t *testing.T) {
 func TestBorrowRemovesTaps(t *testing.T) {
 	prog := proggen.Generate(7, proggen.DefaultOptions())
 	cfg := noRunaheadConfig()
-	cfg.FrontQ = 9997 // unique shape: this test owns its pool
+	cfg.FrontQ = 4093 // unique shape: this test owns its pool
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	events := 0
@@ -202,7 +202,7 @@ func TestMachinePoolAgesIdleMachines(t *testing.T) {
 	// The real collector drives the same aging.
 	prog := proggen.Generate(7, proggen.DefaultOptions())
 	cfg := noRunaheadConfig()
-	cfg.FrontQ = 9998 // unique shape: this test owns its pool
+	cfg.FrontQ = 4094 // unique shape: this test owns its pool
 	runPooled(t, cfg, prog)
 	idle := func() int {
 		machines.mu.Lock()

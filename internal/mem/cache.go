@@ -58,13 +58,17 @@ type Cache struct {
 	Stats CacheStats
 }
 
+// Sets returns the number of sets the cache has with lines of lineSize
+// bytes: Size / (Assoc * lineSize), rounded down.
+func (cfg CacheConfig) Sets(lineSize int) int { return cfg.Size / (cfg.Assoc * lineSize) }
+
 // NewCache builds a cache.  Size must be a multiple of Assoc*lineSize and the
 // set count must be a power of two.
 func NewCache(cfg CacheConfig, lineSize int) *Cache {
 	if cfg.Size <= 0 || cfg.Assoc <= 0 || lineSize <= 0 {
 		panic(fmt.Sprintf("mem: bad cache config %+v line %d", cfg, lineSize))
 	}
-	numSets := cfg.Size / (cfg.Assoc * lineSize)
+	numSets := cfg.Sets(lineSize)
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("mem: %s: set count %d is not a power of two", cfg.Name, numSets))
 	}
@@ -83,9 +87,6 @@ func NewCache(cfg CacheConfig, lineSize int) *Cache {
 
 // Config returns the cache configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
-
-// NumSets reports the number of sets.
-func (c *Cache) NumSets() int { return c.numSets }
 
 func (c *Cache) setIdx(lineAddr uint64) int {
 	return int((lineAddr / uint64(c.lineSize)) & uint64(c.numSets-1))

@@ -158,9 +158,6 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	if cfg.LineSize <= 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic(fmt.Sprintf("mem: line size %d is not a power of two", cfg.LineSize))
 	}
-	if cfg.MemMaxOutstanding <= 0 {
-		cfg.MemMaxOutstanding = 16
-	}
 	return &Hierarchy{
 		cfg: cfg,
 		l1i: NewCache(cfg.L1I, cfg.LineSize),

@@ -24,10 +24,9 @@ type RunaheadCache struct {
 	dead  int      // tombstones in the current epoch (evicted slots)
 	epoch uint64   // current generation; slots from older epochs are free
 
-	order     []uint64 // FIFO ring of buffered byte addresses (eviction order)
-	ordHead   int
-	scratch   []raSlot // reused by compact(); no steady-state allocation
-	compactsN uint64   // rehash count (observability/tests)
+	order   []uint64 // FIFO ring of buffered byte addresses (eviction order)
+	ordHead int
+	scratch []raSlot // reused by compact(); no steady-state allocation
 
 	Writes uint64
 	Reads  uint64
@@ -50,9 +49,6 @@ type raSlot struct {
 
 // NewRunaheadCache returns a runahead cache bounded to capBytes bytes.
 func NewRunaheadCache(capBytes int) *RunaheadCache {
-	if capBytes <= 0 {
-		capBytes = 512
-	}
 	// Size the table to 4× capacity (next power of two): with live ≤ cap the
 	// load factor stays ≤ 1/4 plus tombstones, keeping probe chains short.
 	n := 1
@@ -113,7 +109,6 @@ func (rc *RunaheadCache) insertSlot(addr uint64) *raSlot {
 // runs only when evictions have filled half the table with tombstones —
 // never in the common episode whose writes fit the budget.
 func (rc *RunaheadCache) compact() {
-	rc.compactsN++
 	rc.scratch = rc.scratch[:0]
 	for i := range rc.slots {
 		s := &rc.slots[i]
@@ -201,11 +196,7 @@ func (rc *RunaheadCache) Clear() {
 func (rc *RunaheadCache) Reset() {
 	rc.Clear()
 	rc.Writes, rc.Reads = 0, 0
-	rc.compactsN = 0
 }
 
 // Len reports the number of buffered bytes.
 func (rc *RunaheadCache) Len() int { return rc.live }
-
-// Compactions reports how many tombstone compactions have run (tests).
-func (rc *RunaheadCache) Compactions() uint64 { return rc.compactsN }

@@ -45,9 +45,6 @@ type SLStats struct {
 
 // NewSLCache returns an SL cache bounded to capEntries lines.
 func NewSLCache(capEntries int) *SLCache {
-	if capEntries <= 0 {
-		capEntries = 64
-	}
 	return &SLCache{cap: capEntries, entries: make(map[uint64]*SLEntry, capEntries)}
 }
 
@@ -207,11 +204,4 @@ func (c *SLCache) Clear() {
 func (c *SLCache) Reset() {
 	c.Clear()
 	c.Stats = SLStats{}
-}
-
-// Lines lists buffered line addresses (tests).
-func (c *SLCache) Lines() []uint64 {
-	out := make([]uint64, 0, len(c.entries))
-	out = append(out, c.order...)
-	return out
 }

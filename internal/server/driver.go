@@ -144,7 +144,7 @@ func driverTask(d Driver, req RunRequest) (task, error) {
 	if err != nil {
 		return task{}, err
 	}
-	keyParts := []any{core.Normalize(cfg)}
+	keyParts := []any{cfg}
 	if d.UsesParams {
 		keyParts = append(keyParts, p)
 	}
@@ -172,15 +172,13 @@ type RunRequest struct {
 }
 
 // resolve overlays the partial documents onto the paper defaults.  The
-// returned config is Normalize'd — the exact value the cache key hashes —
-// so an explicitly zeroed field ("rob_size": 0 = use the default) can
-// never simulate a machine other than the one its key names.
+// returned config is the normalized one the cache key hashes, so an
+// explicitly zeroed field ("rob_size": 0 = use the default) can never
+// simulate a machine other than the one its key names.
 func (r RunRequest) resolve() (core.Config, attack.Params, error) {
-	cfg := core.DefaultConfig()
-	if len(r.Config) > 0 {
-		if err := strictUnmarshal(r.Config, &cfg); err != nil {
-			return cfg, attack.Params{}, fmt.Errorf("config: %w", err)
-		}
+	cfg, err := core.Overlay(core.DefaultConfig(), r.Config)
+	if err != nil {
+		return cfg, attack.Params{}, err
 	}
 	p := attack.DefaultParams()
 	if len(r.Params) > 0 {
@@ -188,36 +186,7 @@ func (r RunRequest) resolve() (core.Config, attack.Params, error) {
 			return cfg, p, fmt.Errorf("params: %w", err)
 		}
 	}
-	cfg = core.Normalize(cfg)
-	if err := core.Validate(cfg); err != nil {
-		return cfg, p, err
-	}
-	if err := validateParams(p); err != nil {
-		return cfg, p, err
-	}
-	return cfg, p, nil
-}
-
-// validateParams bounds the attack parameters, so a hostile document 400s
-// instead of panicking the PoC builder (the probe stride must be a power
-// of two) or requesting an absurd amount of simulation.
-func validateParams(p attack.Params) error {
-	if n := len(p.Secret); n < 1 || n > 256 {
-		return fmt.Errorf("params: secret length %d out of range (1..256 bytes)", n)
-	}
-	if p.SecretIdx < 0 || p.SecretIdx >= len(p.Secret) {
-		return fmt.Errorf("params: secret_idx %d out of range for a %d-byte secret", p.SecretIdx, len(p.Secret))
-	}
-	if p.TrainingRounds < 1 || p.TrainingRounds > 1<<12 {
-		return fmt.Errorf("params: training_rounds %d out of range (1..%d)", p.TrainingRounds, 1<<12)
-	}
-	if p.ProbeStride < 64 || p.ProbeStride > 1<<16 || p.ProbeStride&(p.ProbeStride-1) != 0 {
-		return fmt.Errorf("params: probe_stride %d must be a power of two in 64..%d", p.ProbeStride, 1<<16)
-	}
-	if p.NopPad < 0 || p.NopPad > 1<<16 {
-		return fmt.Errorf("params: nop_pad %d out of range (0..%d)", p.NopPad, 1<<16)
-	}
-	return nil
+	return cfg, p, p.Validate()
 }
 
 // strictUnmarshal decodes JSON rejecting unknown fields, so a typo in a

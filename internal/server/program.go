@@ -95,18 +95,9 @@ func (r ProgramRequest) resolve() (resolvedProgram, error) {
 	if out.budget > maxProgramCycles {
 		return out, fmt.Errorf("program: max_cycles %d exceeds limit %d", r.MaxCycles, maxProgramCycles)
 	}
-	cfg := core.DefaultConfig()
-	if len(r.Config) > 0 {
-		if err := strictUnmarshal(r.Config, &cfg); err != nil {
-			return out, fmt.Errorf("config: %w", err)
-		}
-	}
-	cfg = core.Normalize(cfg)
-	if err := core.Validate(cfg); err != nil {
-		return out, err
-	}
-	out.cfg = cfg
-	return out, nil
+	var err error
+	out.cfg, err = core.Overlay(core.DefaultConfig(), r.Config)
+	return out, err
 }
 
 // programTask builds the task for a program submission.  The key
@@ -119,7 +110,7 @@ func programTask(req ProgramRequest) (task, error) {
 	if err != nil {
 		return task{}, err
 	}
-	key, err := core.HashKey("program", rp.bin, core.Normalize(rp.cfg), rp.budget)
+	key, err := core.HashKey("program", rp.bin, rp.cfg, rp.budget)
 	if err != nil {
 		return task{}, fmt.Errorf("cache key: %w", err)
 	}

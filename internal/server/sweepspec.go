@@ -64,12 +64,18 @@ func (s SweepSpec) withDefaults() SweepSpec {
 }
 
 // axes validates the spec and assembles the grid axes; every axis value is
-// checked up front so a typo fails before any simulation starts.
+// checked up front, by the rules the run routes apply to a config and to
+// params, so a typo fails before any simulation starts.
 func (s SweepSpec) axes() ([]sweep.Axis, error) {
 	robAxis := sweep.Axis{Name: "rob"}
 	for _, n := range s.ROB {
 		if n <= 0 {
 			return nil, fmt.Errorf("sweep: bad ROB size %d", n)
+		}
+		cfg := core.DefaultConfig()
+		cfg.ROBSize = n
+		if err := core.Validate(cfg); err != nil {
+			return nil, err
 		}
 		robAxis.Values = append(robAxis.Values, strconv.Itoa(n))
 	}
@@ -93,6 +99,11 @@ func (s SweepSpec) axes() ([]sweep.Axis, error) {
 		}
 		axes = append(axes, wAxis)
 	case "attack":
+		p := attack.DefaultParams()
+		p.NopPad = s.Pad
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
 		vAxis := sweep.Axis{Name: "variant"}
 		for _, v := range s.Variants {
 			var av attack.Variant

@@ -62,8 +62,15 @@ func (s *Server) serveTask(w http.ResponseWriter, r *http.Request, t task, err e
 // cache.Do, so cancelling a job never aborts a synchronous request
 // coalesced on the same key.  It returns the result and its key, or the
 // run's error; a cancelled run's partial result comes back with its error,
-// attaches to the job and never becomes the cache entry for its key.
+// attaches to the job and never becomes the cache entry for its key.  A
+// panic in the run is the attempt's error, as it is on the synchronous
+// path, so the retry policy handles it instead of the process dying.
 func (s *Server) runJob(ctx context.Context, t task, progress func(done, total int)) (key string, body []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			key, body, err = "", nil, fmt.Errorf("%s: run panicked: %v", t.kind, p)
+		}
+	}()
 	if p := t.begin; p != nil {
 		progress(p.Done, p.Total)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -175,19 +176,22 @@ func TestTimedOutSweepJobCachesNothing(t *testing.T) {
 	}
 }
 
+// errorText returns the message of an error document.
+func errorText(t *testing.T, body []byte) string {
+	t.Helper()
+	var doc struct{ Error string }
+	if err := json.Unmarshal(body, &doc); err != nil || doc.Error == "" {
+		t.Fatalf("error document %q: %v", body, err)
+	}
+	return doc.Error
+}
+
 // TestInvalidSpecSameErrorOnRouteAndJob pins one message per invalid body:
 // each kind's synchronous route and POST /v1/jobs build the same task, so
 // they reject the same spec with the same status and error text, and no
 // job is created.
 func TestInvalidSpecSameErrorOnRouteAndJob(t *testing.T) {
 	_, ts := newTestServer(t)
-	errorText := func(body []byte) string {
-		var doc struct{ Error string }
-		if err := json.Unmarshal(body, &doc); err != nil || doc.Error == "" {
-			t.Fatalf("error document %q: %v", body, err)
-		}
-		return doc.Error
-	}
 	for _, tc := range []struct {
 		name, route, body, job string
 	}{
@@ -203,11 +207,85 @@ func TestInvalidSpecSameErrorOnRouteAndJob(t *testing.T) {
 			t.Errorf("%s: route %d, job %d, want 400 from both", tc.name, code, jobCode)
 			continue
 		}
-		if r, j := errorText(routeBody), errorText(jobBody); r != j {
+		if r, j := errorText(t, routeBody), errorText(t, jobBody); r != j {
 			t.Errorf("%s: route says %q, job says %q", tc.name, r, j)
 		}
 	}
 	if n := getStats(t, ts.URL).Jobs.Submitted; n != 0 {
 		t.Fatalf("invalid specs created %d jobs", n)
+	}
+}
+
+// TestUnbuildableConfigRefused: a config that breaks a precondition the
+// simulator's constructors panic on — a power-of-two line size, PHT size
+// and BTB set count, and each cache's set count — is a 400 on every route
+// that takes a config, and POST /v1/jobs creates no job for it.
+func TestUnbuildableConfigRefused(t *testing.T) {
+	_, ts := newTestServer(t)
+	program := mustJSON(t, testProgramSrc)
+	for _, cfg := range []string{
+		`{"mem": {"line_size": 48}}`,
+		`{"branch": {"pht_size": 1000}}`,
+		`{"branch": {"btb_sets": 100}}`,
+		`{"mem": {"l1i": {"size": 12288}}}`,
+		`{"mem": {"l1d": {"size": 12288}}}`,
+		`{"mem": {"l2": {"size": 196608}}}`,
+		`{"mem": {"l3": {"size": 6291456}}}`,
+	} {
+		for _, req := range []struct{ route, body string }{
+			{"/v1/run/fig9", `{"config": ` + cfg + `}`},
+			{"/v1/run/program", `{"asm": ` + program + `, "config": ` + cfg + `}`},
+			{"/v1/jobs", `{"driver": "fig9", "config": ` + cfg + `}`},
+			{"/v1/jobs", `{"program": {"asm": ` + program + `, "config": ` + cfg + `}}`},
+		} {
+			if code, _, body := do(t, "POST", ts.URL+req.route, req.body); code != http.StatusBadRequest {
+				t.Errorf("%s %s: %d %.200s, want 400", req.route, req.body, code, body)
+			}
+		}
+	}
+	if n := getStats(t, ts.URL).Jobs.Submitted; n != 0 {
+		t.Fatalf("unbuildable configs created %d jobs", n)
+	}
+}
+
+// TestSweepChecksLikeRunRoutes: a sweep grid's ROB values and attack
+// padding are checked by the rules the run routes apply to a config and to
+// params, with the same message, before anything simulates.
+func TestSweepChecksLikeRunRoutes(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, tc := range []struct{ route, run, sweep string }{
+		{"/v1/run/fig9", `{"config": {"rob_size": 16385}}`, `{"rob": [16385], "workloads": ["mcf"]}`},
+		{"/v1/run/attack", `{"params": {"nop_pad": 70000}}`, `{"mode": "attack", "pad": 70000}`},
+		{"/v1/run/attack", `{"params": {"nop_pad": -1}}`, `{"mode": "attack", "pad": -1}`},
+	} {
+		code, _, runBody := do(t, "POST", ts.URL+tc.route, tc.run)
+		sweepCode, _, sweepBody := do(t, "POST", ts.URL+"/v1/sweep", tc.sweep)
+		if code != http.StatusBadRequest || sweepCode != http.StatusBadRequest {
+			t.Errorf("%s: run route %d, sweep %d, want 400 from both", tc.sweep, code, sweepCode)
+			continue
+		}
+		if r, w := errorText(t, runBody), errorText(t, sweepBody); r != w {
+			t.Errorf("%s: run route says %q, sweep says %q", tc.sweep, r, w)
+		}
+	}
+	if n := s.simulations.Load(); n != 0 {
+		t.Fatalf("refused specs ran %d simulations", n)
+	}
+}
+
+// TestRunJobRecoversPanic: a panic in a job's run is the attempt's error,
+// carrying the panic value, so the retry policy handles it and the
+// process survives.
+func TestRunJobRecoversPanic(t *testing.T) {
+	s, _ := newTestServer(t)
+	tk := task{kind: "fig9", key: "panicking", run: func(context.Context, func(done, total int)) (any, error) {
+		panic("branch: PHT size 1000 not a power of two")
+	}}
+	_, body, err := s.runJob(context.Background(), tk, func(done, total int) {})
+	if err == nil || !strings.Contains(err.Error(), "PHT size 1000 not a power of two") || body != nil {
+		t.Fatalf("runJob = %q, %v; want the panic as its error", body, err)
+	}
+	if !retryable(err) {
+		t.Fatalf("a panicked attempt must be retryable: %v", err)
 	}
 }
