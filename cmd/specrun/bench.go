@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"specrun/internal/attack"
 	"specrun/internal/core"
 	"specrun/internal/proggen"
 	"specrun/internal/server"
@@ -30,17 +28,12 @@ type SimBench struct {
 }
 
 // BenchReport is the stable JSON document `specrun bench --json` emits: the
-// Fig. 7/9/10/11 benchmark metrics of the paper, each in exactly the shape
-// the corresponding POST /v1/run/{driver} endpoint returns, plus the
-// simulator-throughput section.  CI uploads it as a BENCH_*.json artifact on
-// every run — the repo's pinned performance trajectory.
+// simulator-throughput and allocation metrics that --gate compares with a
+// committed baseline.  CI uploads it as a BENCH_*.json artifact on every run
+// — the repo's pinned performance trajectory.
 type BenchReport struct {
 	Version string    `json:"version"`
-	IPC     any       `json:"ipc"`   // Fig. 7 rows + mean speedup
-	Fig9    any       `json:"fig9"`  // PHT PoC probe sweep
-	Fig10   any       `json:"fig10"` // N1/N2/N3 transient windows
-	Fig11   any       `json:"fig11"` // beyond-the-ROB leak, both machines
-	Sim     *SimBench `json:"sim,omitempty"`
+	Sim     *SimBench `json:"sim"`
 }
 
 // hostFingerprint identifies the machine well enough to decide whether two
@@ -140,9 +133,8 @@ func gate(sim *SimBench, baselinePath string, tol float64) error {
 	return nil
 }
 
-// runBench implements `specrun bench`: run the four benchmark drivers on the
-// Table 1 machine, measure simulator throughput, and emit the metrics as one
-// document.
+// runBench implements `specrun bench`: measure simulator throughput and
+// allocation on the steady-state path and emit the metrics as one document.
 //
 //	specrun bench --json --out bench.json
 //	specrun bench --json --gate bench/baseline.json
@@ -150,12 +142,10 @@ func runBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit the canonical JSON document (default: human summary)")
 	out := fs.String("out", "", "output file (default stdout)")
-	workers := fs.Int("workers", 0, "worker goroutines for the multi-run drivers (0 = GOMAXPROCS)")
-	noSim := fs.Bool("no-sim", false, "skip the simulator-throughput benchmark (sim section)")
 	gatePath := fs.String("gate", "", "baseline BENCH json; exit nonzero on performance regression against it")
 	tol := fs.Float64("tolerance", 0.10, "relative regression tolerated by --gate")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the benchmark section to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile (taken after the benchmarks) to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the simulator benchmark to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile (taken after the benchmark) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -193,32 +183,11 @@ func runBench(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	ctx := context.Background()
-	cfg := core.DefaultConfig()
-	params := attack.DefaultParams()
-	rep := BenchReport{Version: server.Version()}
-	for _, d := range []struct {
-		name string
-		dst  *any
-	}{
-		{"ipc", &rep.IPC},
-		{"fig9", &rep.Fig9},
-		{"fig10", &rep.Fig10},
-		{"fig11", &rep.Fig11},
-	} {
-		res, err := server.Run(ctx, d.name, cfg, params, *workers)
-		if err != nil {
-			return fmt.Errorf("bench: %s: %w", d.name, err)
-		}
-		*d.dst = res
+	sim, err := measureSim()
+	if err != nil {
+		return fmt.Errorf("bench: sim: %w", err)
 	}
-	if !*noSim {
-		sim, err := measureSim()
-		if err != nil {
-			return fmt.Errorf("bench: sim: %w", err)
-		}
-		rep.Sim = sim
-	}
+	rep := BenchReport{Version: server.Version(), Sim: sim}
 
 	w := os.Stdout
 	if *out != "" {
@@ -238,28 +207,11 @@ func runBench(args []string) error {
 			return err
 		}
 	} else {
-		ipc := rep.IPC.(server.IPCResponse)
-		fmt.Fprintf(w, "Fig. 7: mean runahead speedup %.2f%% over %d kernels\n",
-			(ipc.MeanSpeedup-1)*100, len(ipc.Rows))
-		fig9 := rep.Fig9.(core.AttackResult)
-		fmt.Fprintf(w, "Fig. 9: leaked=%v best_idx=%d contrast=%d/%d episodes=%d\n",
-			fig9.Leaked, fig9.BestIdx, fig9.Median, fig9.BestLat, fig9.Stats.RunaheadEpisodes)
-		fig10 := rep.Fig10.(server.Fig10Response)
-		fmt.Fprintf(w, "Fig. 10: N1=%d N2=%d N3=%d\n", fig10.N1.N, fig10.N2.N, fig10.N3.N)
-		fig11 := rep.Fig11.(core.Fig11Result)
-		fmt.Fprintf(w, "Fig. 11: runahead leaked=%v, no-runahead leaked=%v\n",
-			fig11.Runahead.Leaked, fig11.NoRunahead.Leaked)
-		if rep.Sim != nil {
-			fmt.Fprintf(w, "Sim: %.2fM sim_cycles/s, %d allocs/op, %d B/op (%d cycles/run × %d runs)\n",
-				rep.Sim.SimCyclesPerSec/1e6, rep.Sim.AllocsPerOp, rep.Sim.BytesPerOp,
-				rep.Sim.CyclesPerRun, rep.Sim.Runs)
-		}
+		fmt.Fprintf(w, "Sim: %.2fM sim_cycles/s, %d allocs/op, %d B/op (%d cycles/run × %d runs)\n",
+			sim.SimCyclesPerSec/1e6, sim.AllocsPerOp, sim.BytesPerOp, sim.CyclesPerRun, sim.Runs)
 	}
 	if *gatePath != "" {
-		if rep.Sim == nil {
-			return fmt.Errorf("bench: --gate requires the sim section (drop --no-sim)")
-		}
-		return gate(rep.Sim, *gatePath, *tol)
+		return gate(sim, *gatePath, *tol)
 	}
 	return nil
 }

@@ -18,8 +18,8 @@
 //	specrun fuzz [flags]       differential fuzzing campaign: random programs
 //	                           in lockstep on the reference interpreter and
 //	                           the OoO pipeline across the config matrix
-//	specrun bench [flags]      Fig. 7/9/10/11 benchmark metrics as one stable
-//	                           JSON document (the CI perf artifact)
+//	specrun bench [flags]      simulator throughput and allocation as one
+//	                           JSON document (the CI perf gate)
 //	specrun serve [flags]      simulation-as-a-service HTTP API with a
 //	                           content-addressed result cache, /metrics and
 //	                           structured request logging
@@ -128,9 +128,9 @@ func figureFlags(name string) (*flag.FlagSet, *string) {
 }
 
 // printFigure runs a server driver through server.Run — the path the HTTP
-// API, `specrun bench` and the figures benchmark share — and prints the
-// result either as its canonical JSON encoding, byte-identical to the body
-// of POST /v1/run/{driver} for the same configuration, or through render.
+// API and the figures benchmark share — and prints the result either as its
+// canonical JSON encoding, byte-identical to the body of POST
+// /v1/run/{driver} for the same configuration, or through render.
 func printFigure(name, format, driver string, cfg core.Config, render func(res any)) error {
 	if format != "table" && format != "json" {
 		return fmt.Errorf("%s: unknown format %q", name, format)
@@ -229,9 +229,16 @@ func attackFlags(args []string) (attack.Params, core.Config, error) {
 		return attack.Params{}, core.Config{}, err
 	}
 	p := attack.DefaultParams()
-	p.Secret = []byte{byte(*secret)}
+	b, err := attack.SecretByte(*secret)
+	if err != nil {
+		return p, core.Config{}, fmt.Errorf("attack: %w", err)
+	}
+	p.Secret = []byte{b}
 	p.NopPad = *pad
 	if err := p.Variant.UnmarshalText([]byte(*variant)); err != nil {
+		return p, core.Config{}, err
+	}
+	if err := p.Validate(); err != nil {
 		return p, core.Config{}, err
 	}
 	cfg := core.DefaultConfig()
@@ -266,6 +273,9 @@ func runLeak(args []string) error {
 	}
 	p := attack.DefaultParams()
 	p.Secret = []byte(*secret)
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	got, results, err := attack.LeakSecret(context.Background(), core.DefaultConfig(), p, 0)
 	if err != nil {
 		return err

@@ -73,13 +73,10 @@ func Run(cfg cpu.Config, p Params) (Result, error) {
 	if err := c.Run(runBudget); err != nil {
 		return Result{}, fmt.Errorf("attack: %s run: %w", p.Variant, err)
 	}
-	st := *c.Stats()
-	// The next borrower truncates and rewrites the machine's reaches buffer.
-	st.EpisodeReaches = append([]uint64(nil), st.EpisodeReaches...)
 	return Result{
 		Analysis: Analyze(ReadLatencies(c, l)),
 		Layout:   l,
-		Stats:    st,
+		Stats:    c.StatsCopy(),
 	}, nil
 }
 

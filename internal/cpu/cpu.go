@@ -292,9 +292,6 @@ type CPU struct {
 	dispatchedNow  int
 	stats          Stats
 
-	// debugRA, when set, receives a line per runahead entry/exit (tests).
-	debugRA func(format string, args ...any)
-
 	// Observation hooks: occupancy sampling (SetSampler), per-uop lifecycle
 	// tracing (SetTracer), commit-stream observation (SetCommitHook) and the
 	// microarchitectural leak tap (SetObserver).

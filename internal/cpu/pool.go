@@ -168,9 +168,8 @@ func MachinePoolStats() PoolStats {
 // observers, polling reference scheduler) and behaves exactly like
 // New(cfg, prog).
 //
-// Hand it back with Release once its results are read.  Copy out anything
-// that aliases the machine's buffers first: Stats().EpisodeReaches is
-// truncated and rewritten by the next borrower.
+// Hand it back with Release once its results are read, taking its
+// statistics with StatsCopy.
 func Borrow(cfg Config, prog *asm.Program) *CPU {
 	machines.mu.Lock()
 	p := machines.shape(shapeOf(cfg))
@@ -188,6 +187,15 @@ func Borrow(cfg Config, prog *asm.Program) *CPU {
 	}
 	c.lend(cfg, prog)
 	return c
+}
+
+// StatsCopy returns the machine's statistics sharing no buffer with it, so
+// they stay valid after Release: the next borrower truncates and rewrites
+// Stats().EpisodeReaches.
+func (c *CPU) StatsCopy() Stats {
+	st := c.stats
+	st.EpisodeReaches = append([]uint64(nil), st.EpisodeReaches...)
+	return st
 }
 
 // Release returns a machine obtained from Borrow to its pool; the caller
@@ -208,7 +216,7 @@ func (c *CPU) Release() {
 func (c *CPU) lend(cfg Config, prog *asm.Program) {
 	c.cfg = cfg
 	c.sampleEvery, c.sampleFn = 0, nil
-	c.traceFn, c.commitFn, c.obsFn, c.debugRA = nil, nil, nil, nil
+	c.traceFn, c.commitFn, c.obsFn = nil, nil, nil
 	c.hier.SetObserver(nil)
 	c.pollSched = false
 	c.Reset(prog)

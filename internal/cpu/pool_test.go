@@ -164,7 +164,6 @@ func TestBorrowRemovesTaps(t *testing.T) {
 	c.SetCommitHook(func(CommitRecord) { events++ })
 	c.SetObserver(func(Observation) { events++ })
 	c.Hier().SetObserver(func(mem.CacheEvent) { events++ })
-	c.debugRA = func(string, ...any) { events++ }
 	c.SetPollingReference(true)
 	first := c
 	c.Release()

@@ -43,8 +43,7 @@ type machineSnapshot struct {
 }
 
 func snapshot(c *cpu.CPU, recs []record, prog progRegions) machineSnapshot {
-	s := machineSnapshot{recs: append([]record(nil), recs...), stats: *c.Stats()}
-	s.stats.EpisodeReaches = append([]uint64(nil), s.stats.EpisodeReaches...)
+	s := machineSnapshot{recs: append([]record(nil), recs...), stats: c.StatsCopy()}
 	for i := range s.ints {
 		s.ints[i] = c.IntReg(i)
 	}

@@ -63,6 +63,20 @@ func TestCacheKeysPinned(t *testing.T) {
 	}
 }
 
+// TestSweepKeyIgnoresUnusedFields: a sweep field the mode ignores leaves
+// the key where the grid without it puts it, so one grid is simulated and
+// stored once.
+func TestSweepKeyIgnoresUnusedFields(t *testing.T) {
+	for _, tc := range []struct{ plain, extra string }{
+		{`{"rob": [64], "workloads": ["mcf"]}`, `{"rob": [64], "workloads": ["mcf"], "pad": 300, "secrets": [1], "variants": ["btb"]}`},
+		{`{"mode": "attack"}`, `{"mode": "attack", "workloads": ["mcf"]}`},
+	} {
+		if plain, extra := taskOf(t, tc.plain, sweepTask).key, taskOf(t, tc.extra, sweepTask).key; plain != extra {
+			t.Errorf("%s: key %.8s, but %s keys to %.8s", tc.extra, extra, tc.plain, plain)
+		}
+	}
+}
+
 // taskOf decodes a route body into its request type and builds its task.
 func taskOf[R any](t *testing.T, body string, build func(R) (task, error)) task {
 	t.Helper()

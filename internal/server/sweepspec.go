@@ -114,8 +114,8 @@ func (s SweepSpec) axes() ([]sweep.Axis, error) {
 		}
 		sAxis := sweep.Axis{Name: "secret"}
 		for _, n := range s.Secrets {
-			if n < 0 || n > 255 {
-				return nil, fmt.Errorf("sweep: secret byte %d out of range", n)
+			if _, err := attack.SecretByte(n); err != nil {
+				return nil, fmt.Errorf("sweep: %w", err)
 			}
 			sAxis.Values = append(sAxis.Values, strconv.Itoa(n))
 		}
@@ -161,16 +161,23 @@ func RunSweep(ctx context.Context, spec SweepSpec, opt sweep.Options) (SweepResu
 
 // sweepTask builds the task for a sweep grid, validating every axis up
 // front so a bad grid is a 400 and never counts as (or coalesces with) a
-// simulation.  Workers tunes execution, not the result, so it never reaches
-// the key; withDefaults makes explicit defaults and omitted fields hash
-// alike.  Progress counts grid points.
+// simulation.  One grid has one key: Workers tunes execution, not the
+// result, so it never reaches the key; the fields the mode ignores hash as
+// if unset; and withDefaults makes explicit defaults and omitted fields
+// hash alike.  Progress counts grid points.
 func sweepTask(spec SweepSpec) (task, error) {
 	keySpec := spec.withDefaults()
 	if _, err := keySpec.axes(); err != nil {
 		return task{}, err
 	}
 	keySpec.Workers = 0
-	key, err := core.HashKey("sweep", keySpec)
+	switch keySpec.Mode {
+	case "ipc":
+		keySpec.Variants, keySpec.Secrets, keySpec.Pad = nil, nil, 0
+	case "attack":
+		keySpec.Workloads = nil
+	}
+	key, err := core.HashKey("sweep", keySpec.withDefaults())
 	if err != nil {
 		return task{}, fmt.Errorf("cache key: %w", err)
 	}

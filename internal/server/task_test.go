@@ -218,8 +218,10 @@ func TestInvalidSpecSameErrorOnRouteAndJob(t *testing.T) {
 
 // TestUnbuildableConfigRefused: a config that breaks a precondition the
 // simulator's constructors panic on — a power-of-two line size, PHT size
-// and BTB set count, and each cache's set count — is a 400 on every route
-// that takes a config, and POST /v1/jobs creates no job for it.
+// and BTB set count, and each cache's set count — or that leaves a register
+// file no register to rename into, so that no program makes progress, is a
+// 400 on every route that takes a config, and POST /v1/jobs creates no job
+// for it.
 func TestUnbuildableConfigRefused(t *testing.T) {
 	_, ts := newTestServer(t)
 	program := mustJSON(t, testProgramSrc)
@@ -231,6 +233,7 @@ func TestUnbuildableConfigRefused(t *testing.T) {
 		`{"mem": {"l1d": {"size": 12288}}}`,
 		`{"mem": {"l2": {"size": 196608}}}`,
 		`{"mem": {"l3": {"size": 6291456}}}`,
+		`{"int_prf": 32}`,
 	} {
 		for _, req := range []struct{ route, body string }{
 			{"/v1/run/fig9", `{"config": ` + cfg + `}`},
