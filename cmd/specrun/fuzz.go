@@ -89,7 +89,7 @@ func runFuzz(args []string) error {
 	)
 	if spec.Leaks {
 		var r leak.Report
-		r, runErr = fuzzRounds(ctx, spec, opt, *duration, *quiet, leak.Run)
+		r, runErr = fuzzRounds(ctx, spec, opt, *duration, *quiet, leak.Run, leak.RunSeeds)
 		for _, f := range r.Findings {
 			repros = append(repros, f.Minimized)
 		}
@@ -99,7 +99,7 @@ func runFuzz(args []string) error {
 		}
 	} else {
 		var r difftest.Report
-		r, runErr = fuzzRounds(ctx, spec, opt, *duration, *quiet, difftest.Run)
+		r, runErr = fuzzRounds(ctx, spec, opt, *duration, *quiet, difftest.Run, difftest.Run)
 		for _, d := range r.Divergences {
 			repros = append(repros, d.Minimized)
 		}
@@ -130,22 +130,23 @@ func runFuzz(args []string) error {
 	return unclean
 }
 
-// fuzzRounds runs one campaign round, or under --duration successive rounds
-// over fresh seed ranges, merged in round order: the same seed range always
-// produces the same rows.  A cancelled campaign (Ctrl-C) still yields its
-// partial report — findings already made must reach the user, not die with
-// the interrupt.
+// fuzzRounds runs one campaign round with first, or under --duration
+// successive rounds over fresh seed ranges, the later ones with later,
+// merged in round order: the same seed range always produces the same rows.
+// A leak campaign's later rounds skip its round-independent corpus.  A
+// cancelled campaign (Ctrl-C) still yields its partial report — findings
+// already made must reach the user, not die with the interrupt.
 func fuzzRounds[R interface{ Merge(R) R }](ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options, duration time.Duration, quiet bool,
-	run func(context.Context, difftest.CampaignSpec, sweep.Options) (R, error)) (R, error) {
+	first, later func(context.Context, difftest.CampaignSpec, sweep.Options) (R, error)) (R, error) {
 	start := time.Now()
-	report, err := run(ctx, spec, opt)
+	report, err := first(ctx, spec, opt)
 	if !quiet {
 		fmt.Fprintln(os.Stderr)
 	}
 	for err == nil && duration > 0 && time.Since(start) < duration && ctx.Err() == nil {
 		spec.SeedBase += int64(spec.Seeds)
 		var next R
-		next, err = run(ctx, spec, opt)
+		next, err = later(ctx, spec, opt)
 		if !quiet {
 			fmt.Fprintln(os.Stderr)
 		}

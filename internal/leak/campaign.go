@@ -49,29 +49,39 @@ func Options(spec difftest.CampaignSpec) proggen.Options {
 	return popt
 }
 
-// Run executes a leak campaign on the difftest campaign engine: the golden
-// attack corpus first (every PoC variant against every matrix
-// configuration), then the generated-seed sweep (difftest.SweepSeeds,
-// honouring a sweep.Gate on ctx), then the engine's shrink pass over the
-// leaky seeds unless the spec opts out.  A campaign cancelled during its
-// sweep or its shrink pass returns the partial report plus the context
-// error.
+// Run executes a leak campaign on the difftest campaign engine: the corpus
+// phase (runCorpus: every PoC variant against every matrix configuration),
+// then the seed phase (RunSeeds).  Both phases run on the sweep engine with
+// opt's worker count and honour a sweep.Gate on ctx; opt.OnProgress counts
+// seeds only.  A campaign cancelled during its corpus returns no report;
+// one cancelled during its sweep or its shrink pass returns the partial
+// report.  Either way the error is the context's.
 func Run(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options) (Report, error) {
-	spec, cfgs, err := spec.Resolve()
+	_, cfgs, err := resolve(spec)
 	if err != nil {
 		return Report{}, err
 	}
-	if !spec.Leaks {
-		return Report{}, fmt.Errorf("leak: spec does not request a leak campaign")
+	corpus, err := runCorpus(ctx, cfgs, opt.Workers)
+	if err != nil {
+		return Report{}, err
+	}
+	rep, err := RunSeeds(ctx, spec, opt)
+	rep.Corpus = corpus
+	return rep, err
+}
+
+// RunSeeds is a leak campaign's seed phase alone: the generated-seed sweep
+// (difftest.SweepSeeds), then the engine's shrink pass over the leaky seeds
+// unless the spec opts out.  Its report has no corpus rows.  The corpus is
+// round-independent, so the CLI's --duration rounds after the first run
+// only this phase and Merge keeps the first round's rows.
+func RunSeeds(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options) (Report, error) {
+	spec, cfgs, err := resolve(spec)
+	if err != nil {
+		return Report{}, err
 	}
 	popt := Options(spec)
-
 	rep := Report{Spec: spec, Configs: len(cfgs)}
-	rep.Corpus, err = runCorpus(cfgs)
-	if err != nil {
-		return Report{}, err
-	}
-
 	results, runErr := difftest.SweepSeeds(ctx, spec, opt, popt, cfgs, CheckSeed)
 
 	rep.PerConfig = make([]ConfigSummary, len(cfgs))
@@ -121,6 +131,15 @@ func Run(ctx context.Context, spec difftest.CampaignSpec, opt sweep.Options) (Re
 	return rep, runErr
 }
 
+// resolve applies the campaign rule set and requires a leak spec.
+func resolve(spec difftest.CampaignSpec) (difftest.CampaignSpec, []difftest.NamedConfig, error) {
+	spec, cfgs, err := spec.Resolve()
+	if err == nil && !spec.Leaks {
+		err = fmt.Errorf("leak: spec does not request a leak campaign")
+	}
+	return spec, cfgs, err
+}
+
 // leaks is the leak oracle's shrink predicate: seed, generated with o,
 // still leaks under nc.
 func leaks(seed int64, o proggen.Options, nc difftest.NamedConfig) bool {
@@ -134,7 +153,8 @@ func leaks(seed int64, o proggen.Options, nc difftest.NamedConfig) bool {
 
 // Merge folds a later campaign round into r (the CLI's --duration mode runs
 // successive rounds over fresh seed ranges).  The golden corpus is round-
-// independent, so the first round's rows stand.
+// independent, so the first round's rows stand and a later round may come
+// from RunSeeds alone.
 func (r Report) Merge(next Report) Report {
 	r.Runs += next.Runs
 	r.Leaks += next.Leaks

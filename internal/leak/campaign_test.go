@@ -138,7 +138,9 @@ func TestLeakEvictionsCounted(t *testing.T) {
 	}
 }
 
-// TestMergeRounds pins --duration round folding.
+// TestMergeRounds pins --duration round folding, and that a later round
+// may run the seed phase alone: merged, it gives the same report bytes as
+// a full Run of that round.
 func TestMergeRounds(t *testing.T) {
 	spec := difftest.CampaignSpec{Seeds: 10, Leaks: true, NoShrink: true}
 	a, err := Run(context.Background(), spec, sweep.Options{Workers: 4})
@@ -162,6 +164,18 @@ func TestMergeRounds(t *testing.T) {
 		if s.Runs != a.PerConfig[i].Runs+b.PerConfig[i].Runs {
 			t.Fatalf("per-config merge wrong for %s", s.Config)
 		}
+	}
+	seedsOnly, err := RunSeeds(context.Background(), next, sweep.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seedsOnly.Corpus) != 0 {
+		t.Fatalf("seed phase returned %d corpus rows", len(seedsOnly.Corpus))
+	}
+	full, _ := json.Marshal(m)
+	later, _ := json.Marshal(a.Merge(seedsOnly))
+	if string(full) != string(later) {
+		t.Fatalf("a seed-phase round merges differently from a full round:\n%s\n%s", full, later)
 	}
 }
 

@@ -1,10 +1,12 @@
 package leak
 
 import (
+	"context"
 	"fmt"
 
 	"specrun/internal/attack"
 	"specrun/internal/difftest"
+	"specrun/internal/sweep"
 )
 
 // CorpusVariants is the golden leak corpus: the handwritten SPECRUN PoCs
@@ -83,35 +85,65 @@ type CorpusRow struct {
 	Line    uint64 `json:"line,omitempty"`
 }
 
-// runCorpus checks every PoC variant against every configuration on a
-// dedicated runner (the pooled seed-phase runners stay unpolluted by the
-// attack-specific BTB/ROB overrides ConfigFor applies).
-func runCorpus(cfgs []difftest.NamedConfig) ([]CorpusRow, error) {
-	r := NewRunner()
-	rows := make([]CorpusRow, 0, len(CorpusVariants)*len(cfgs))
-	for _, v := range CorpusVariants {
+// runCorpus checks every PoC variant against every configuration on the
+// sweep engine: one job per configuration, at most workers at once, each
+// inside a slot of a sweep.Gate on ctx.  A cancelled corpus returns no rows
+// and the context's error.  The four inputs are built, and their sequential
+// baselines checked on the reference interpreter, once before the sweep.
+//
+// Each job checks the four variants on a runner of its own, dropped when the
+// job ends, so no corpus machine outlives the call and the pooled seed-phase
+// runners stay unpolluted by the attack-specific BTB overrides ConfigFor
+// applies.  The variants ConfigFor leaves alone share the job's machine, and
+// the tuned one (BTB) runs after them, so a job builds at most two machines.
+// The rows come back variant-major, whatever the worker count.
+func runCorpus(ctx context.Context, cfgs []difftest.NamedConfig, workers int) ([]CorpusRow, error) {
+	ins := make([]Input, len(CorpusVariants))
+	base := NewRunner()
+	for i, v := range CorpusVariants {
 		in, err := AttackInput(v)
 		if err != nil {
 			return nil, err
 		}
-		if f := r.CheckSeqBaseline(in); f != nil {
+		if f := base.CheckSeqBaseline(in); f != nil {
 			return nil, fmt.Errorf("leak: corpus %s: %s: %s", v, f.Kind, f.Detail)
 		}
-		for _, nc := range cfgs {
-			// The PoCs need the variant's microarchitectural preconditions
-			// (BTB geometry for the aliasing variant) on top of the matrix
-			// point, exactly like the attack driver applies them.
-			tuned := difftest.NamedConfig{Name: nc.Name, Config: attack.ConfigFor(v, nc.Config)}
-			row := CorpusRow{Program: in.Name, Config: nc.Name}
-			f, ran := r.CheckConfig(in, tuned)
-			switch {
-			case !ran:
-				row.Error = f.Detail
-			case f != nil:
-				row.Leak = true
-				row.PC, row.Line = f.PC, f.Line
+		ins[i] = in
+	}
+	perConfig, err := sweep.Run(ctx, cfgs, func(_ context.Context, nc difftest.NamedConfig) ([]CorpusRow, error) {
+		r := NewRunner()
+		rows := make([]CorpusRow, len(ins))
+		for _, tunedPass := range []bool{false, true} {
+			for i, v := range CorpusVariants {
+				// The PoCs need the variant's microarchitectural
+				// preconditions (BTB geometry for the aliasing variant) on
+				// top of the matrix point, exactly like the attack driver
+				// applies them.
+				tuned := difftest.NamedConfig{Name: nc.Name, Config: attack.ConfigFor(v, nc.Config)}
+				if (tuned.Config != nc.Config) != tunedPass {
+					continue
+				}
+				row := CorpusRow{Program: ins[i].Name, Config: nc.Name}
+				f, ran := r.CheckConfig(ins[i], tuned)
+				switch {
+				case !ran:
+					row.Error = f.Detail
+				case f != nil:
+					row.Leak = true
+					row.PC, row.Line = f.PC, f.Line
+				}
+				rows[i] = row
 			}
-			rows = append(rows, row)
+		}
+		return rows, nil
+	}, sweep.Options{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]CorpusRow, 0, len(ins)*len(cfgs))
+	for i := range ins {
+		for _, byVariant := range perConfig {
+			rows = append(rows, byVariant[i])
 		}
 	}
 	return rows, nil

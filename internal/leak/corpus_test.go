@@ -1,10 +1,14 @@
 package leak
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"specrun/internal/difftest"
+	"specrun/internal/sweep"
 )
 
 // TestGoldenCorpus pins the full variant×config leak matrix for the
@@ -56,7 +60,7 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 
 	cfgs := difftest.Matrix(false)
-	rows, err := runCorpus(cfgs)
+	rows, err := runCorpus(context.Background(), cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +99,50 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusDeterministic re-runs one corpus variant and requires
-// bit-identical rows — the oracle must be a pure function of the input.
+// TestCorpusDeterministic re-runs the corpus at one worker count and at
+// another, and requires bit-identical rows: the oracle must be a pure
+// function of the input, and the sweep must return the rows in variant-major
+// order whichever worker ran which configuration.
 func TestCorpusDeterministic(t *testing.T) {
 	cfgs := difftest.Matrix(false)[:4]
-	a, err := runCorpus(cfgs)
-	if err != nil {
+	var first string
+	for i, workers := range []int{1, 1, 4} {
+		rows, err := runCorpus(context.Background(), cfgs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%+v", rows)
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("corpus rows at %d workers differ from the first run at 1:\n%s\n%s", workers, first, got)
+		}
+	}
+}
+
+// TestCorpusGatedAndCancellable: the corpus runs inside a sweep.Gate on the
+// campaign's context and stops when that context is cancelled.  With the
+// gate's only token held elsewhere, no corpus simulation may start; the
+// cancelled campaign returns the context's error and no corpus rows.
+func TestCorpusGatedAndCancellable(t *testing.T) {
+	gate := sweep.NewGate(1)
+	if err := gate.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	b, err := runCorpus(cfgs)
-	if err != nil {
-		t.Fatal(err)
+	defer gate.Release()
+	ctx, cancel := context.WithCancel(sweep.WithGate(context.Background(), gate))
+	defer cancel()
+	go func() {
+		for gate.Queued() == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	rep, err := Run(ctx, difftest.CampaignSpec{Seeds: 1, Leaks: true}, sweep.Options{Workers: 2})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("campaign cancelled at the gate returned %v, want context.Canceled", err)
 	}
-	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
-		t.Fatalf("corpus rows differ between identical runs:\n%+v\n%+v", a, b)
+	if len(rep.Corpus) != 0 {
+		t.Fatalf("campaign cancelled at the gate returned %d corpus rows, want none", len(rep.Corpus))
 	}
 }
